@@ -205,12 +205,9 @@ def kernel_benchmarks() -> dict:
     out["centroid_polygons_mrows_s"] = round(best_rate(lambda: K.centroid(polys), m) / 1e6, 2)
     out["envelope_polygons_mrows_s"] = round(best_rate(lambda: K.envelope(polys), m) / 1e6, 2)
     out["exterior_polygons_mrows_s"] = round(best_rate(lambda: K.exterior(polys), m) / 1e6, 2)
-    from geopolars_ray.geom import h3ish
-
-    out["h3ish_r7_mrows_s"] = round(best_rate(lambda: h3ish.h3ish_cell_id(x, y, 7), n) / 1e6, 2)
     from geopolars_ray.geom import h3 as h3c
 
-    # canonical H3 (r5): bit-exact Uber ids, ~5x the arithmetic of h3ish
+    # canonical H3 (r5): bit-exact Uber ids
     out["h3_canonical_r7_mrows_s"] = round(
         best_rate(lambda: h3c.latlng_to_cell(y, x, 7), n) / 1e6, 2)
     hcells = h3c.latlng_to_cell(y, x, 7)
@@ -507,25 +504,40 @@ def sjoin_large_large(num_partitions: int) -> dict:
         for i in range(m)
     ]
     admin = pa.table({"admin_id": pa.array(np.arange(m)), "geometry": encode_wkb(GeometryArray.from_pylist(polys))})
-    t0 = time.time()
-    n_part = partitioned_spatial_join(
-        ray.data.from_arrow(pts), ray.data.from_arrow(admin), cell_deg=5.0, num_partitions=num_partitions
-    ).count()
-    t_part = time.time() - t0
+
+    def part_join():
+        return partitioned_spatial_join(
+            ray.data.from_arrow(pts), ray.data.from_arrow(admin), cell_deg=5.0, num_partitions=num_partitions
+        )
+
     # from_arrow yields ONE block; without a repartition the broadcast pool
     # can launch exactly one task (r4: this single-block artifact, not the
     # operator, was the 15-18s "broadcast slower than partitioned" readings
     # in the r2/r3 snapshots — the partitioned path was immune because its
     # internal hash exchange re-splits)
-    pts_ds = ray.data.from_arrow(pts).repartition(num_partitions)
+    def bcast_join():
+        pts_ds = ray.data.from_arrow(pts).repartition(num_partitions)
+        return broadcast_spatial_join(pts_ds, admin, how="inner", concurrency=4)
+
     t0 = time.time()
-    n_b = broadcast_spatial_join(pts_ds, admin, how="inner", concurrency=4).count()
+    n_part = part_join().count()
+    t_part = time.time() - t0
+    t0 = time.time()
+    n_b = bcast_join().count()
     t_b = time.time() - t0
+
+    def sorted_pairs(ds):
+        return ds.select_columns(["pid", "admin_id"]).to_pandas().sort_values(
+            ["pid", "admin_id"]).to_numpy()
+
     return {
         "partitioned_sec": round(t_part, 3),
         "broadcast_sec": round(t_b, 3),
         "rows": n_part,
-        "outputs_match": n_part == n_b,
+        # content, not row counts: both joins run once more, untimed, and
+        # must give the same sorted (pid, admin_id) pairs
+        "outputs_match": n_part == n_b and bool(
+            np.array_equal(sorted_pairs(part_join()), sorted_pairs(bcast_join()))),
     }
 
 

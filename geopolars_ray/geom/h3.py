@@ -28,9 +28,7 @@ plus exhaustive structural invariants (12 pentagons, all-res round trips,
 parent/child closure) in tests/test_h3.py.
 
 Reference parity: the geopolars reference has no H3 support; this module
-closes the north-star "H3 res-7" noun (BASELINE.json north_rule).  The
-non-canonical ``h3ish`` module remains for compatibility;
-``h3ish_cell_id(..., canonical=True)`` routes here.
+closes the north-star "H3 res-7" noun (BASELINE.json north_rule).
 """
 from __future__ import annotations
 
@@ -62,6 +60,16 @@ _UNIT = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1],
 def _ll2xyz(lat, lng):
     cl = np.cos(lat)
     return np.stack([cl * np.cos(lng), cl * np.sin(lng), np.sin(lat)], axis=-1)
+
+
+def _xyz_to_latlng(p):
+    """unit vectors (n, 3) -> (lat, lng) degrees.  The arctan2 operands are
+    contiguous copies: on strided column views numpy picks its vector or its
+    scalar arctan2 loop from the operands' addresses, the two differ in the
+    last ulp, and the same cell got a different boundary in another process."""
+    lat = np.degrees(np.arcsin(np.clip(p[:, 2], -1.0, 1.0)))
+    lng = np.degrees(np.arctan2(np.ascontiguousarray(p[:, 1]), np.ascontiguousarray(p[:, 0])))
+    return lat, lng
 
 
 _CENTERS = _ll2xyz(T.FACE_CENTER_GEO[:, 0], T.FACE_CENTER_GEO[:, 1])
@@ -498,9 +506,7 @@ def _unproject(face, i, j, k, res: int):
     cg = _CENTERS[face]
     dvec = (np.cos(az)[:, None] * _NHAT[face] + np.sin(az)[:, None] * _EHAT[face])
     p = np.cos(dist)[:, None] * cg + np.sin(dist)[:, None] * dvec
-    lat = np.degrees(np.arcsin(np.clip(p[:, 2], -1.0, 1.0)))
-    lng = np.degrees(np.arctan2(p[:, 1], p[:, 0]))
-    return lat, lng
+    return _xyz_to_latlng(p)
 
 
 def _cell_to_latlng_res(ids, res: int):
@@ -821,9 +827,7 @@ def _unproject_substrate(face, x, y, adj_res):
     cg = _CENTERS[face]
     dvec = (np.cos(az)[:, None] * _NHAT[face] + np.sin(az)[:, None] * _EHAT[face])
     p = np.cos(dist)[:, None] * cg + np.sin(dist)[:, None] * dvec
-    lat = np.degrees(np.arcsin(np.clip(p[:, 2], -1.0, 1.0)))
-    lng = np.degrees(np.arctan2(p[:, 1], p[:, 0]))
-    return lat, lng
+    return _xyz_to_latlng(p)
 
 
 def _substrate_center(ids, res):

@@ -2,22 +2,25 @@
 
 Shape (BASELINE.json north_star; SURVEY.md §3.3 Ray translation)::
 
-    read_parquet(pages, columns=[url, warc_ts, html, lang])   # prune at read
-      -> ExtractGeoTags (actor pool; html -> text/lat/lon; html dropped)
-      -> assign_tiles   (stateless; s2_l12 + grid_tile columns)
-      -> BroadcastPIPJoin (actor pool; admin polygons broadcast once)
-      -> per-tile rollup (partial agg inside map_batches, then a small
-         groupby over partials -- the two-phase/combiner pattern that keeps
-         hot-city skew off the shuffle, SURVEY.md §4 skew row)
+    one task per parquet shard (FusedPagesGeotag + partial_rollup):
+      read(url, warc_ts, html, lang)   # prune at the scan
+      -> ExtractGeoTags  (html -> lat/lon; html dropped)
+      -> assign_tiles    (only the rollup key: h3_r{res} or s2_l{level})
+      -> BroadcastPIPJoin (admin polygons captured once per task)
+      -> per-shard group-by (the combiner: ~1 row per (tile, admin))
+    merge_rollup: hash_aggregate over the partials, key renamed to ``tile``
 
-Everything before the rollup streams block-by-block; nothing materializes
-the full dataset. Output is written as partitioned parquet for resumability.
+The streaming run (:func:`run_flagship_fused`) and the resumable run
+(``state/checkpoint.py``) share the shard kernel and both helpers, so the
+two differ only in where the per-shard partials live: Ray's object store
+or checkpointed parquet files.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
 
@@ -27,7 +30,7 @@ from geopolars_ray.sources.pages import admin_polygons_table
 
 
 class FusedPagesGeotag:
-    """Manually-fused read -> extract -> tile -> PIP-join task.
+    """The flagship shard kernel: read -> extract -> tile -> PIP-join.
 
     Ray 2.49's optimizer does not fuse ReadParquet into the downstream map
     chain here, so the wide ``html`` column (the vast majority of the table's
@@ -39,130 +42,67 @@ class FusedPagesGeotag:
     pipes slices through extract/tiles/join in-process, and emits only the
     narrow geo-tagged output — html never leaves the task. At 100 TB this is
     also the right cluster shape: the wide bytes stay node-local to the scan.
+
+    Only the rollup key ``tile_col`` is computed: ``h3_r{h3_res}`` when
+    ``h3_res`` is set, else ``s2_l{s2_level}``.
     """
 
-    def __init__(self, admin: pa.Table, s2_level: int = 12, grid_cell_deg: float = 1.0,
-                 batch_rows: int = 8192, keep_text: bool = False,
+    def __init__(self, admin: pa.Table, s2_level: int = 12, batch_rows: int = 8192,
                  h3_res: int | None = None):
-        self.extract = ExtractGeoTags(keep_text=keep_text)
-        self.tiles = assign_tiles(s2_level=s2_level, grid_cell_deg=grid_cell_deg,
-                                  h3_res=h3_res)
+        self.tile_col = f"h3_r{h3_res}" if h3_res is not None else f"s2_l{s2_level}"
+        self.extract = ExtractGeoTags()
+        self.tiles = assign_tiles(s2_level=None if h3_res is not None else s2_level,
+                                  grid_cell_deg=None, h3_res=h3_res)
         self.join = BroadcastPIPJoin(admin, how="inner")
         self.batch_rows = batch_rows
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
+        return pa.concat_tables([self.shard(p)[0] for p in batch["path"].to_pylist()])
 
-        outs = []
-        for path in batch["path"].to_pylist():
-            t = pq.read_table(path, columns=["url", "warc_ts", "html", "lang"])
-            if t.num_rows == 0:
-                # a zero-row shard still contributes an (empty) table so the
-                # final concat sees the output schema instead of no tables
-                outs.append(self.join(self.tiles(self.extract(t))))
-                continue
-            for s in range(0, t.num_rows, self.batch_rows):
-                sl = t.slice(s, min(self.batch_rows, t.num_rows - s))
-                outs.append(self.join(self.tiles(self.extract(sl))))
-        return pa.concat_tables(outs)
+    def shard(self, path: str) -> tuple[pa.Table, int, int]:
+        """The admin-joined points of one parquet shard, with the shard's
+        row count and how many of its rows carried a geotag."""
+        t = pq.read_table(path, columns=["url", "warc_ts", "html", "lang"])
+        outs, n_geo = [], 0
+        # a zero-row shard still yields one (empty) slice, so the output
+        # keeps its schema
+        for s in range(0, max(t.num_rows, 1), self.batch_rows):
+            pts = self.tiles(self.extract(t.slice(s, self.batch_rows)))
+            n_geo += int(np.count_nonzero(~np.isnan(pts["lat"].to_numpy())))
+            outs.append(self.join(pts))
+        return pa.concat_tables(outs), t.num_rows, n_geo
 
 
-def geotag_points_fused(
-    pages_dir: str,
-    admin: pa.Table | None = None,
-    s2_level: int = 12,
-    grid_cell_deg: float = 1.0,
-    batch_rows: int = 8192,
-    keep_text: bool = False,
-):
-    """Sharded-directory flagship front half with manual read fusion (see
-    :class:`FusedPagesGeotag`): one task per parquet shard."""
-    import glob as glob_mod
+# the columns of a per-shard partial after its tile key; state/checkpoint
+# writes partials to disk and refuses ones in another layout
+PARTIAL_COLS = ["admin_id", "n_pages", "sum_lat", "sum_lon"]
 
-    if admin is None:
-        admin = admin_polygons_table()
-    paths = sorted(glob_mod.glob(f"{pages_dir}/*.parquet"))
-    if not paths:
-        raise FileNotFoundError(f"no parquet shards under {pages_dir}")
-    items = ray.data.from_items([{"path": p} for p in paths], override_num_blocks=len(paths))
-    return items.map_batches(
-        FusedPagesGeotag(admin, s2_level=s2_level, grid_cell_deg=grid_cell_deg,
-                         batch_rows=batch_rows, keep_text=keep_text),
-        batch_format="pyarrow",
-        batch_size=1,
+
+def partial_rollup(pts: pa.Table, tile_col: str) -> pa.Table:
+    """Per-(tile, admin) page count and coordinate sums of one shard's
+    points: the combiner half of the rollup."""
+    return (
+        pts.select([tile_col, "admin_id", "lat", "lon"])
+        .group_by([tile_col, "admin_id"])
+        .aggregate([("lat", "count"), ("lat", "sum"), ("lon", "sum")])
+        .rename_columns([tile_col] + PARTIAL_COLS)
     )
 
 
-def geotag_points(
-    pages_path: str,
-    admin: pa.Table | None = None,
-    s2_level: int = 12,
-    grid_cell_deg: float = 1.0,
-    extract_concurrency: int | tuple[int, int] = (1, 8),
-    join_concurrency: int | tuple[int, int] = (1, 8),
-    batch_size: int = 8192,
-    keep_text: bool = False,
-    use_actors: bool = False,
-):
-    """pages parquet -> geo-tagged, tiled, admin-joined point Dataset.
-
-    ``batch_size`` stays small through the html-wide stages (SURVEY.md §7
-    "hard" #4); after extraction drops html the blocks are narrow again.
-
-    Default mode is stateless TASKS with driver-prepared state captured in
-    the function closure (serialized once into the operator spec, cached per
-    worker): admin-polygon-scale state is tiny, and task pools schedule
-    instantly while actor pools pay a multi-second spin-up. Set
-    ``use_actors=True`` for genuinely heavy per-worker state (big polygon
-    sets, models), where the ``concurrency`` pool args apply.
-    """
-    if admin is None:
-        admin = admin_polygons_table()
-    ds = ray.data.read_parquet(pages_path, columns=["url", "warc_ts", "html", "lang"])
-    if use_actors:
-        ds = ds.map_batches(
-            ExtractGeoTags,
-            fn_constructor_kwargs=dict(keep_text=keep_text),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=extract_concurrency,
-        )
-    else:
-        ds = ds.map_batches(
-            ExtractGeoTags(keep_text=keep_text), batch_format="pyarrow", batch_size=batch_size
-        )
-    ds = ds.map_batches(
-        assign_tiles(s2_level=s2_level, grid_cell_deg=grid_cell_deg),
-        batch_format="pyarrow",
-    )
-    if use_actors:
-        admin_ref = ray.put(admin)
-        ds = ds.map_batches(
-            BroadcastPIPJoin,
-            fn_constructor_kwargs=dict(polygons=admin_ref, how="inner"),
-            batch_format="pyarrow",
-            concurrency=join_concurrency,
-        )
-    else:
-        ds = ds.map_batches(BroadcastPIPJoin(admin, how="inner"), batch_format="pyarrow")
-    return ds
-
-
-def tile_rollup(ds, tile_col: str = "s2_l12", num_partitions: int = 32):
-    """Per-tile rollup via hash_aggregate (combiner + hash-partitioned
-    C++ hash-agg — the high-cardinality scale path; Ray's sort-based
-    aggregate costs ~200µs of Python per group and is avoided entirely).
-    A hot megacity tile contributes at most one partial row per block to
-    the shuffle (SURVEY.md §4 skew strategy)."""
+def merge_rollup(parts, tile_col: str, num_partitions: int):
+    """Sum the per-shard partials per (tile, admin) with
+    ``hash_aggregate`` (combiner + hash-partitioned C++ hash-agg; a hot
+    tile adds at most one partial row per shard to the exchange, SURVEY.md
+    §4 skew row) and name the key column ``tile``."""
     from geopolars_ray.stages.agg import hash_aggregate
 
     out = hash_aggregate(
-        ds.select_columns([tile_col, "admin_id", "lat", "lon"]),
+        parts,
         keys=[tile_col, "admin_id"],
         spec=[
-            ("lat", "count", "n_pages"),
-            ("lat", "sum", "sum_lat"),
-            ("lon", "sum", "sum_lon"),
+            ("n_pages", "sum", "n_pages"),
+            ("sum_lat", "sum", "sum_lat"),
+            ("sum_lon", "sum", "sum_lon"),
         ],
         num_partitions=num_partitions,
     )
@@ -174,27 +114,11 @@ def tile_rollup(ds, tile_col: str = "s2_l12", num_partitions: int = 32):
     return out.map_batches(rename, batch_format="pyarrow")
 
 
-def run_flagship(
-    pages_path: str,
-    out_path: str | None = None,
-    tile_col: str = "s2_l12",
-    **kwargs,
-):
-    """Full pipeline; returns the rollup Dataset (writes parquet when
-    ``out_path`` given — partitioned output directory, resumable layout)."""
-    pts = geotag_points(pages_path, **kwargs)
-    rollup = tile_rollup(pts, tile_col=tile_col)
-    if out_path is not None:
-        rollup.write_parquet(out_path)
-    return rollup
-
-
 def run_flagship_fused(
     pages_dir: str,
     out_path: str | None = None,
     admin: pa.Table | None = None,
     s2_level: int = 12,
-    grid_cell_deg: float = 1.0,
     batch_rows: int = 8192,
     num_partitions: int = 32,
     h3_res: int | None = None,
@@ -218,56 +142,35 @@ def run_flagship_fused(
     wide bytes stay node-local to the scan.
 
     The per-shard partials (~1 row per (tile, admin) pair per shard) are
-    materialized (a tiny table) and re-aggregated by summing counts/sums in
-    ``hash_aggregate`` — exactly the classic combiner contract. ``n_pages``
-    (integer counts of integers) is bit-identical to :func:`run_flagship`;
-    ``sum_lat``/``sum_lon`` are float sums whose per-shard vs per-block
-    association differs in the final ULPs (the bench asserts rtol=1e-12).
+    materialized (a tiny table) and re-aggregated by :func:`merge_rollup`
+    — exactly the classic combiner contract. ``n_pages`` is exact;
+    ``sum_lat``/``sum_lon`` are float sums whose association follows the
+    shard split, so they agree with any other split to rounding only. The
+    same shards give bit-identical sums in every run.
+
+    ``h3_res`` switches the rollup key to CANONICAL Uber H3 cells — the
+    north star's "point-in-polygon + H3 tile assignment" shape; the default
+    key stays s2_l12 for cross-round bench comparability.
     """
     import glob as glob_mod
-
-    from geopolars_ray.stages.agg import hash_aggregate
 
     if admin is None:
         admin = admin_polygons_table()
     paths = sorted(glob_mod.glob(f"{pages_dir}/*.parquet"))
     if not paths:
         raise FileNotFoundError(f"no parquet shards under {pages_dir}")
-    fused = FusedPagesGeotag(admin, s2_level=s2_level, grid_cell_deg=grid_cell_deg,
-                             batch_rows=batch_rows, h3_res=h3_res)
-
-    # h3_res switches the rollup key to CANONICAL Uber H3 cells — the north
-    # star's "point-in-polygon + H3 tile assignment" headline shape; default
-    # stays s2_l12 for cross-round bench comparability
-    tcol = f"h3_r{h3_res}" if h3_res is not None else f"s2_l{s2_level}"
+    fused = FusedPagesGeotag(admin, s2_level=s2_level, batch_rows=batch_rows, h3_res=h3_res)
+    tcol = fused.tile_col
 
     def shard_pipeline(batch: pa.Table) -> pa.Table:
-        pts = fused(batch)
-        t = pts.select([tcol, "admin_id", "lat", "lon"])
-        return (
-            t.group_by([tcol, "admin_id"])
-            .aggregate([("lat", "count"), ("lat", "sum"), ("lon", "sum")])
-            .rename_columns([tcol, "admin_id", "n_pages", "sum_lat", "sum_lon"])
-        )
+        return partial_rollup(fused(batch), tcol)
 
     items = ray.data.from_items([{"path": p} for p in paths], override_num_blocks=len(paths))
+    # partials reach the merge in shard order, not completion order, so the
+    # float sums associate the same way in every run
+    items.context.execution_options.preserve_order = True
     parts = items.map_batches(shard_pipeline, batch_format="pyarrow", batch_size=1).materialize()
-    out = hash_aggregate(
-        parts,
-        keys=[tcol, "admin_id"],
-        spec=[
-            ("n_pages", "sum", "n_pages"),
-            ("sum_lat", "sum", "sum_lat"),
-            ("sum_lon", "sum", "sum_lon"),
-        ],
-        num_partitions=num_partitions,
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        idx = batch.column_names.index(tcol)
-        return batch.set_column(idx, "tile", batch[tcol])
-
-    out = out.map_batches(rename, batch_format="pyarrow")
+    out = merge_rollup(parts, tcol, num_partitions)
     if out_path is not None:
         out.write_parquet(out_path)
     return out

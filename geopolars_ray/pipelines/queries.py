@@ -671,9 +671,7 @@ def q_geo_h3_tiles(sf_dir: str):
     azimuthal gnomonic projection, cube rounding, the 7-level class-II/III
     digit extraction, base-cell lookup and hex/pentagon rotation chains,
     bit packing — replays in SQL (see _h3_canonical_cells_sql; 1500/1500
-    ids verified bit-identical, 82 exercising the pentagon path). The
-    r1-r4 non-canonical kernel stays gated in spirit via the same face/
-    projection math and in tests (tests/test_h3ish.py)."""
+    ids verified bit-identical, 82 exercising the pentagon path)."""
     from geopolars_ray.geom import h3 as h3mod
 
     def h3c(batch: pa.Table) -> pa.Table:
@@ -1649,7 +1647,7 @@ def _h3_canonical_cells_sql(pts_sql: str, res: int = 7) -> str:
     H3 ids bit-identical to `geom/h3.py latlng_to_cell` (verified 1500/1500
     on the sf0.01 customer grid, 82 points through the pentagon path).
 
-    Float stage mirrors the r3 h3ish oracle's proven approach (inlined
+    Float stage mirrors the r3 icosahedral oracle's proven approach (inlined
     float64 literals, round_even = np.rint, argmax ties -> lowest face);
     everything after cube rounding — the 7-level class-II/III digit
     extraction, the 540-row (face, ijk) -> base-cell lookup, the hex
@@ -2600,7 +2598,7 @@ ORACLE_SQL = {
         "FROM px GROUP BY vid, frame_no"
     ),
     # 50/50 oracle-exact (r3). Everything — including the Hilbert-curve S2
-    # ids, the icosahedral h3ish ids, recursive Douglas-Peucker, Vincenty's
+    # ids, the canonical H3 ids, recursive Douglas-Peucker, Vincenty's
     # iteration, the k-means-free qdot IVF and the LCG media chain — is
     # replayed exactly in SQL (generated literals / recursive CTEs /
     # integer quantization).

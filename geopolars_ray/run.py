@@ -24,7 +24,7 @@ import sys
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="geopolars_ray flagship pipeline")
-    ap.add_argument("--pages", required=True, help="pages parquet dir/file")
+    ap.add_argument("--pages", required=True, help="directory of pages parquet shards")
     ap.add_argument("--out", required=True, help="output dir (rollup + manifest)")
     ap.add_argument("--s2-level", type=int, default=12)
     ap.add_argument("--resume", action="store_true", help="(re)run checkpointed; skip completed shards")
@@ -47,10 +47,9 @@ def main(argv=None) -> int:
     DataContext.get_current().enable_progress_bars = False
 
     if args.streaming:
-        from geopolars_ray.pipelines.flagship import geotag_points, tile_rollup
+        from geopolars_ray.pipelines.flagship import run_flagship_fused
 
-        rollup = tile_rollup(geotag_points(args.pages, s2_level=args.s2_level))
-        rollup.write_parquet(args.out)
+        run_flagship_fused(args.pages, args.out, s2_level=args.s2_level)
         print(json.dumps({"mode": "streaming", "out": args.out}))
     else:
         from geopolars_ray.state.checkpoint import run_resumable, finalize_rollup

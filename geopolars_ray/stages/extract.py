@@ -1,62 +1,41 @@
 """Flagship extraction + tiling stages (stateless map_batches kernels).
 
 The geo-tag extraction stage is the pipeline's first hot stage: it reads the
-wide ``html`` binary column, recovers the text (byte-identical to the
-generator's ground truth — the north-star invariant), parses the geo signal,
-and immediately DROPS html so the wide bytes never travel further than one
-stage (SURVEY.md §7 "hard" #4).
+wide ``html`` binary column, parses the geo signal, and immediately DROPS
+html so the wide bytes never travel further than one stage (SURVEY.md §7
+"hard" #4).
 """
 
 from __future__ import annotations
 
-import re
 from typing import Callable
 
 import numpy as np
 import pyarrow as pa
 
-from geopolars_ray.sources.pages import extract_text, _GEO_RE
 from geopolars_ray.geom import s2 as s2_mod
 from geopolars_ray.geom import tiles as tiles_mod
 
 
 class ExtractGeoTags:
-    """Actor-pool stage: html -> (text, lat, lon); drops html.
+    """Stateless stage: html -> (lat, lon); drops html (and any ``text``)."""
 
-    A callable class so the compiled regex and any future model state load
-    once per actor (``__init__``), not once per batch — the reference's
-    per-op setup has no equivalent amortization (SURVEY.md §3.2).
-    """
-
-    # named-group variant of _GEO_RE for pyarrow's RE2 extract_regex
+    # named-group variant of sources.pages._GEO_RE for pyarrow's RE2 extract_regex
     _GEO_RE_NAMED = r"coordinates: (?P<lat>-?\d+\.\d{6}),(?P<lon>-?\d+\.\d{6})"
-
-    def __init__(self, keep_text: bool = False):
-        self.keep_text = keep_text
-        self.geo_re = _GEO_RE
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        n = len(batch)
-        # FAST PATH: one vectorized RE2 extraction over the
-        # raw html column. Sound because html.escape only rewrites &<>, so a
-        # "coordinates: lat,lon" line appears byte-verbatim inside the body
-        # markup and nowhere else (titles/urls can't produce the pattern) —
-        # the first match equals the Python re.search over the decoded text.
-        # Arrow's string->double cast is correctly rounded, same as float().
+        # one vectorized RE2 extraction over the raw html column. Sound
+        # because html.escape only rewrites &<>, so a "coordinates: lat,lon"
+        # line appears byte-verbatim inside the body markup and nowhere else
+        # (titles/urls can't produce the pattern) — the first match equals
+        # the Python re.search over the decoded text. Arrow's string->double
+        # cast is correctly rounded, same as float().
         m = pc.extract_regex(pc.cast(batch["html"], pa.string()), self._GEO_RE_NAMED)
         lat_a = pc.fill_null(pc.cast(pc.struct_field(m, "lat"), pa.float64()), np.nan)
         lon_a = pc.fill_null(pc.cast(pc.struct_field(m, "lon"), pa.float64()), np.nan)
-        texts: list[str] | None = None
-        if self.keep_text:
-            # text recovery still needs the per-row inverse of make_html;
-            # one bulk to_pylist (per-row .as_py() costs ~15x more than the
-            # extraction itself — measured 9k vs 147k rows/s/core)
-            texts = [extract_text(raw) for raw in batch["html"].to_pylist()]
         out = batch.drop_columns(["html"] + (["text"] if "text" in batch.column_names else []))
-        if texts is not None:
-            out = out.append_column("text", pa.array(texts, pa.string()))
         out = out.append_column("lat", lat_a)
         out = out.append_column("lon", lon_a)
         return out
@@ -65,58 +44,43 @@ class ExtractGeoTags:
 def assign_tiles(
     lon_col: str = "lon",
     lat_col: str = "lat",
-    s2_level: int = 12,
-    grid_cell_deg: float = 1.0,
+    s2_level: int | None = 12,
+    grid_cell_deg: float | None = 1.0,
     hex_size_deg: float | None = None,
     h3_res: int | None = None,
-    h3_canonical: bool = True,
 ) -> Callable[[pa.Table], pa.Table]:
-    """Stateless tile-assignment kernel: adds s2_l{level} and grid_tile
-    columns, plus an H3 column when ``h3_res`` is given — CANONICAL Uber H3
-    ids (`geom/h3.py latlng_to_cell`, column ``h3_r{res}``; the north star's
-    H3-res-7 tile assignment) by default, or the legacy aperture-7
-    icosahedral ids (``h3ish_r{res}``, `geom/h3ish.py`) with
-    ``h3_canonical=False``. Rows with null/NaN coordinates get null tiles."""
+    """Stateless tile-assignment kernel. Each tile kind is computed iff its
+    parameter is not None: ``s2_l{s2_level}``, ``grid_tile``, ``hex_tile``
+    and ``h3_r{h3_res}`` (CANONICAL Uber H3 ids, `geom/h3.py
+    latlng_to_cell`; the north star's H3-res-7 tile assignment). All tile
+    columns are int64: s2 and H3 ids are reinterpreted as signed (a
+    lossless two's-complement bijection), because Ray Data's groupby
+    pickles uint64 keys via a pandas round-trip while int64 keys stay
+    native. Rows with null/NaN coordinates get null tiles."""
+    from geopolars_ray.geom import h3 as h3_mod
+
+    kinds = []
+    if s2_level is not None:
+        kinds.append((f"s2_l{s2_level}",
+                      lambda x, y: s2_mod.s2_cell_id(x, y, level=s2_level).view(np.int64)))
+    if grid_cell_deg is not None:
+        kinds.append(("grid_tile", lambda x, y: tiles_mod.grid_tile_id(x, y, cell_deg=grid_cell_deg)))
+    if hex_size_deg is not None:
+        kinds.append(("hex_tile", lambda x, y: tiles_mod.hex_tile_id(x, y, size_deg=hex_size_deg)))
+    if h3_res is not None:
+        kinds.append((f"h3_r{h3_res}",
+                      lambda x, y: h3_mod.latlng_to_cell(y, x, h3_res).view(np.int64)))
 
     def fn(batch: pa.Table) -> pa.Table:
         lon = batch[lon_col].to_numpy(zero_copy_only=False).astype(np.float64)
         lat = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64)
         ok = ~(np.isnan(lon) | np.isnan(lat))
-        s2_ids = np.zeros(len(lon), dtype=np.uint64)
-        if ok.any():
-            s2_ids[ok] = s2_mod.s2_cell_id(lon[ok], lat[ok], level=s2_level)
-        grid = np.zeros(len(lon), dtype=np.int64)
-        grid[ok] = tiles_mod.grid_tile_id(lon[ok], lat[ok], cell_deg=grid_cell_deg)
-        # s2 ids are reinterpreted as signed int64 (lossless two's-complement
-        # bijection): Ray Data's groupby pickles uint64 keys via a pandas
-        # round-trip, int64 keys stay native
-        batch = batch.append_column(
-            f"s2_l{s2_level}", pa.Array.from_pandas(s2_ids.view(np.int64), mask=~ok, type=pa.int64())
-        )
-        batch = batch.append_column(
-            "grid_tile", pa.Array.from_pandas(grid, mask=~ok, type=pa.int64())
-        )
-        if hex_size_deg is not None:
-            hx = np.zeros(len(lon), dtype=np.int64)
-            hx[ok] = tiles_mod.hex_tile_id(lon[ok], lat[ok], size_deg=hex_size_deg)
-            batch = batch.append_column("hex_tile", pa.Array.from_pandas(hx, mask=~ok, type=pa.int64()))
-        if h3_res is not None:
-            h3 = np.zeros(len(lon), dtype=np.int64)
-            if h3_canonical:
-                from geopolars_ray.geom import h3 as h3_mod
-
-                # int64 view is lossless (bit 59 is the top used bit) and
-                # keeps Ray Data groupby off the uint64 pickle path
-                h3[ok] = h3_mod.latlng_to_cell(lat[ok], lon[ok], h3_res).view(np.int64)
-                col = f"h3_r{h3_res}"
-            else:
-                from geopolars_ray.geom import h3ish
-
-                h3[ok] = h3ish.h3ish_cell_id(lon[ok], lat[ok], res=h3_res)
-                col = f"h3ish_r{h3_res}"
-            batch = batch.append_column(
-                col, pa.Array.from_pandas(h3, mask=~ok, type=pa.int64())
-            )
+        x, y = lon[ok], lat[ok]
+        for name, ids_of in kinds:
+            ids = np.zeros(len(lon), dtype=np.int64)
+            if len(x):
+                ids[ok] = ids_of(x, y)
+            batch = batch.append_column(name, pa.Array.from_pandas(ids, mask=~ok, type=pa.int64()))
         return batch
 
     return fn

@@ -8,9 +8,9 @@ hotspot smoothing, neighborhood density, spatial lag features.
 Scale shape (scatter = gather, because grid distance is symmetric): each
 row flat-maps to its k-disk (``geom/h3.py grid_disk_batch``, ~3k(k+1)+1
 rows, O(1) for small k), then ONE combiner-first ``hash_aggregate`` on the
-target cell. No index, no join for the open variant; restricting output to
-input cells adds one hash semi-join. Works at any cell cardinality — the
-exchange carries (cell, partial) pairs only.
+target cell. No index, no join: restricting output to input cells rides
+in the same aggregate as a "some row owns this target" flag. Works at any
+cell cardinality — the exchange carries (cell, partial) pairs only.
 """
 
 from __future__ import annotations
@@ -55,10 +55,15 @@ def h3_neighborhood_aggregate(
         if len(res) and (res != res[0]).any():
             raise ValueError("h3_neighborhood_aggregate needs one H3 resolution")
         owner, target = h3_mod.grid_disk_batch(cells, k)
-        return pa.table({
+        cols = {
             "_target": pa.array(target.view(np.int64)),
             "_v": pa.array(vals[owner]),
-        })
+        }
+        if restrict_to_input:
+            # the k-disk holds its own center, so every input cell is the
+            # target of at least one row whose owner cell is the target
+            cols["_self"] = pa.array(cells[owner] == target)
+        return pa.table(cols)
 
     spec = []
     for s in stats:
@@ -66,18 +71,14 @@ def h3_neighborhood_aggregate(
             spec.append(("_v", "count", "n"))
         else:
             spec.append(("_v", s, f"{s}_value"))
+    if restrict_to_input:
+        spec.append(("_self", "max", "_present"))
     agg = hash_aggregate(ds.map_batches(scatter, batch_format="pyarrow"),
                          ["_target"], spec, num_partitions)
-    renamed = agg.map_batches(
-        lambda b: b.rename_columns([cell_col if c == "_target" else c
-                                    for c in b.column_names]),
-        batch_format="pyarrow")
-    if not restrict_to_input:
-        return renamed
-    from geopolars_ray.stages.hashjoin import hash_join
 
-    present = ds.map_batches(
-        lambda b: pa.table({cell_col: b[cell_col]}).group_by(cell_col).aggregate([]),
-        batch_format="pyarrow")
-    return hash_join(renamed, present, on=[cell_col], how="inner",
-                     num_partitions=num_partitions, r_suffix="_r")
+    def to_cells(b: pa.Table) -> pa.Table:
+        if restrict_to_input:
+            b = b.filter(b["_present"]).drop_columns(["_present"])
+        return b.rename_columns([cell_col if c == "_target" else c for c in b.column_names])
+
+    return agg.map_batches(to_cells, batch_format="pyarrow")

@@ -37,6 +37,7 @@ def cut_to_tiles(
     overlap that the exact clip rejects — concave features); keep them to
     preserve a fixed replication count per feature.
     """
+    nx = int(np.ceil(360.0 / tile_deg))
     ny = int(np.ceil(180.0 / tile_deg))
 
     def cut(batch: pa.Table) -> pa.Table:
@@ -44,10 +45,13 @@ def cut_to_tiles(
         xmin, ymin, xmax, ymax = K.bounds(ga)
         valid = ~np.isnan(xmin)
         pidx = np.nonzero(valid)[0]
-        ix0 = np.floor((xmin[pidx] + 180.0) / tile_deg).astype(np.int64)
-        ix1 = np.floor((xmax[pidx] + 180.0) / tile_deg).astype(np.int64)
-        iy0 = np.floor((ymin[pidx] + 90.0) / tile_deg).astype(np.int64)
-        iy1 = np.floor((ymax[pidx] + 90.0) / tile_deg).astype(np.int64)
+        # lon 180 / lat 90 fall on the last column / row, not one past it,
+        # where (ix, ny) would alias tile (ix + 1, 0)
+        def index(v, lo, n):
+            return np.minimum(np.floor((v[pidx] - lo) / tile_deg).astype(np.int64), n - 1)
+
+        ix0, ix1 = index(xmin, -180.0, nx), index(xmax, -180.0, nx)
+        iy0, iy1 = index(ymin, -90.0, ny), index(ymax, -90.0, ny)
         nxv = ix1 - ix0 + 1
         nyv = iy1 - iy0 + 1
         pair_v = np.repeat(np.arange(len(pidx), dtype=np.int64), nxv)

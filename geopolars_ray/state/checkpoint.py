@@ -18,8 +18,9 @@ lineage + metrics". Design (SURVEY.md §4 checkpoint row):
 
 Per-shard tasks are plain ``@ray.remote`` here (not a Dataset) because the
 unit of fault tolerance IS the shard: the manifest needs an atomic
-"shard done" boundary, which per-shard tasks give directly. The kernels are
-the same batch callables the streaming pipeline uses.
+"shard done" boundary, which per-shard tasks give directly. The shard
+kernel, the partial group-by and the merge are the streaming pipeline's
+(``pipelines/flagship.py``), so both runs give the same rollup.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -60,24 +60,12 @@ def _append_manifest(out_dir: str, rec: dict) -> None:
 @ray.remote
 def _process_shard(shard_path: str, out_dir: str, s2_level: int, admin_table: pa.Table) -> dict:
     """One shard end-to-end -> partial rollup parquet + lineage record."""
-    from geopolars_ray.stages.extract import ExtractGeoTags, assign_tiles
-    from geopolars_ray.stages.join import BroadcastPIPJoin
+    from geopolars_ray.pipelines.flagship import FusedPagesGeotag, partial_rollup
 
     t0 = time.time()
-    table = pq.read_table(shard_path, columns=["url", "warc_ts", "html", "lang"])
-    rows_in = table.num_rows
-    table = ExtractGeoTags()(table)
-    table = assign_tiles(s2_level=s2_level)(table)
-    rows_geo = int(pa.compute.sum(pa.compute.is_valid(table["lat"])).as_py() or 0)
-    table = BroadcastPIPJoin(admin_table, how="inner")(table)
-    rows_joined = table.num_rows
-    tile_col = f"s2_l{s2_level}"
-    partial = (
-        table.select([tile_col, "admin_id", "lat", "lon"])
-        .group_by([tile_col, "admin_id"])
-        .aggregate([("lat", "count"), ("lat", "sum"), ("lon", "sum")])
-        .rename_columns(["tile", "admin_id", "n", "sum_lat", "sum_lon"])
-    )
+    kernel = FusedPagesGeotag(admin_table, s2_level=s2_level)
+    pts, rows_in, rows_geo = kernel.shard(shard_path)
+    partial = partial_rollup(pts, kernel.tile_col)
     name = Path(shard_path).stem
     parts_dir = Path(out_dir) / "parts"
     parts_dir.mkdir(parents=True, exist_ok=True)
@@ -91,7 +79,7 @@ def _process_shard(shard_path: str, out_dir: str, s2_level: int, admin_table: pa
         "output_path": str(final),
         "rows_in": rows_in,
         "rows_geotagged": rows_geo,
-        "rows_joined": rows_joined,
+        "rows_joined": pts.num_rows,
         "partial_groups": partial.num_rows,
         "wall_ms": round((time.time() - t0) * 1000, 1),
         "engine_version": geopolars_ray.__version__,
@@ -143,17 +131,22 @@ def run_resumable(
 
 def finalize_rollup(out_dir: str, num_partitions: int = 16):
     """Merge all checkpointed shard partials into the final rollup Dataset."""
-    from geopolars_ray.stages.agg import hash_aggregate
+    from geopolars_ray.pipelines.flagship import PARTIAL_COLS, merge_rollup
 
+    recs = list(_load_manifest(out_dir).values())
+    levels = {rec["s2_level"] for rec in recs}
+    if len(levels) != 1:
+        raise ValueError(f"{out_dir} holds partials of s2 levels {sorted(levels)}; need exactly one")
+    tile_col = f"s2_l{levels.pop()}"
+    # partials an older engine wrote (keyed on `tile`, counted in `n`)
+    # cannot be merged with partial_rollup's
+    want = [tile_col] + PARTIAL_COLS
+    stale = [rec["shard"] for rec in recs if pq.read_schema(rec["output_path"]).names != want]
+    if stale:
+        raise ValueError(
+            f"{out_dir} holds partials in another format (shards {stale[:3]}, "
+            f"{len(stale)} in all; want columns {want}); rerun the shards into a fresh out_dir")
     parts = ray.data.read_parquet(str(Path(out_dir) / "parts"))
-    out = hash_aggregate(
-        parts,
-        keys=["tile", "admin_id"],
-        spec=[
-            ("n", "sum", "n_pages"),
-            ("sum_lat", "sum", "sum_lat"),
-            ("sum_lon", "sum", "sum_lon"),
-        ],
-        num_partitions=num_partitions,
-    )
-    return out
+    # shard order, as in run_flagship_fused, so both sum the same way
+    parts.context.execution_options.preserve_order = True
+    return merge_rollup(parts, tile_col, num_partitions)

@@ -1,11 +1,52 @@
-"""Session-scoped Ray fixture: ONE ray.init per pytest session."""
+"""Session-scoped Ray fixture (ONE ray.init per pytest session) and a
+per-test watchdog."""
 
+import faulthandler
+import signal
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+# Per-test wall budget in seconds. In two full `--durations=0` runs on a
+# 4-CPU host the slowest test (test_cc's random-graph oracle) took 81 s
+# and 132 s; the budget leaves > 3x headroom over the slower reading.
+TEST_BUDGET_S = 420
+
+
+def _terminal_stderr(config) -> int:
+    """The fd stderr had before pytest's output capture redirected fd 2 to
+    a temporary file, which is lost when faulthandler ends the process."""
+    capman = config.pluginmanager.getplugin("capturemanager")
+    err = getattr(getattr(capman, "_global_capturing", None), "err", None)
+    return getattr(err, "targetfd_save", None) or sys.__stderr__.fileno()
+
+
+@pytest.fixture(autouse=True)
+def _watchdog(request):
+    """Fail a test that runs past ``TEST_BUDGET_S`` with the stack it was
+    in. A wedge inside C code may never return to the interpreter, where
+    the alarm handler runs; at twice the budget faulthandler dumps every
+    thread's stack and ends the process instead."""
+
+    def on_alarm(signum, frame):
+        stack = "".join(traceback.format_stack(frame))
+        pytest.fail(f"{request.node.nodeid} ran past its {TEST_BUDGET_S} s budget in:\n{stack}",
+                    pytrace=False)
+
+    prev = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(TEST_BUDGET_S)
+    faulthandler.dump_traceback_later(2 * TEST_BUDGET_S, exit=True,
+                                      file=_terminal_stderr(request.config))
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, prev)
 
 
 @pytest.fixture(scope="session")

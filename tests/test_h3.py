@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from geopolars_ray.geom import h3 as H
-from geopolars_ray.geom.h3ish import h3ish_cell_id
 
 ANCHORS = [
     # (lat, lng, res, canonical id)
@@ -108,17 +107,6 @@ def test_string_round_trip():
     s = H.cells_to_string(h)
     assert s[0] == "8928308280fffff"
     assert H.string_to_cells(s)[0] == h[0]
-
-
-def test_h3ish_canonical_flag():
-    lon = np.array([-122.0553238])
-    lat = np.array([37.3615593])
-    got = h3ish_cell_id(lon, lat, 7, canonical=True)
-    assert got.dtype == np.uint64
-    assert int(got[0]) == 0x87283472BFFFFFF
-    # default path unchanged (int64 h3ish layout)
-    legacy = h3ish_cell_id(lon, lat, 7)
-    assert legacy.dtype == np.int64
 
 
 def test_cross_face_boundary_consistency():

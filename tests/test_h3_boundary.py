@@ -218,3 +218,21 @@ def test_h3_cell_polygon_kernel(ray_session):
         ring = got.coords[ro_g[gi]:ro_g[gi + 1]]
         assert np.array_equal(ring, lut[int(ids_all[r])])
         gi += 1
+
+
+def test_boundaries_do_not_depend_on_memory_layout():
+    """The same cells give bit-identical boundaries wherever numpy places
+    the temporaries; a strided arctan2 once made them differ in the last
+    ulp from one allocation pattern (and so one process) to the next."""
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-100, -80, 200)[1:]
+    y = rng.uniform(30, 45, 200)[1:]
+    cells = np.unique(h3.latlng_to_cell(y, x, 7))
+    seen = set()
+    for _ in range(100):
+        # shift where the temporaries below are allocated
+        pads = [np.empty(int(rng.integers(1, 600))) for _ in range(3)]
+        _, lat, lng = h3.cell_to_boundary(cells)
+        seen.add(lat.tobytes() + lng.tobytes())
+        del pads
+    assert len(seen) == 1

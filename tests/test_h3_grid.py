@@ -151,6 +151,24 @@ def test_h3_neighborhood_aggregate_oracle(ray_session):
         h3_neighborhood_aggregate(ray.data.from_arrow(t), stats=("median",))
 
 
+def test_h3_neighborhood_aggregate_dedupes_cells_across_blocks(ray_session):
+    """restrict_to_input keeps ONE row per input cell even when that
+    cell's rows span several blocks."""
+    import ray
+    from geopolars_ray.stages.hexfocal import h3_neighborhood_aggregate
+
+    cell = h3.latlng_to_cell(np.array([48.0]), np.array([2.0]), 6).view(np.int64)[0]
+    blocks = [pa.table({"h3": pa.array([cell, cell]), "value": pa.array([1.0, 2.0])})
+              for _ in range(2)]
+    ds = ray.data.from_arrow(blocks)
+    assert ds.materialize().num_blocks() == 2
+    out = h3_neighborhood_aggregate(ds, k=1, stats=("count", "sum"),
+                                    num_partitions=4).to_pandas()
+    assert len(out) == 1
+    assert int(out["h3"][0]) == int(cell)
+    assert out["n"][0] == 4 and out["sum_value"][0] == 6.0
+
+
 def test_directed_edges_round_trip():
     rng = np.random.default_rng(1)
     ids = h3.latlng_to_cell(rng.uniform(-60, 60, 100), rng.uniform(-170, 170, 100), 7)

@@ -81,24 +81,23 @@ def test_admin_polygons_tile_plane():
 
 def test_flagship_end_to_end(ray_session, tmp_path):
     import ray
-    from geopolars_ray.pipelines.flagship import geotag_points, tile_rollup
+    from geopolars_ray.pipelines.flagship import FusedPagesGeotag, run_flagship_fused
 
     n = 3000
-    generate_pages_parquet(str(tmp_path / "pages"), n, rows_per_file=1000)
-    # min-1 autoscaling pools: two pools with fixed min 2 each would reserve
-    # all 4 test CPUs and starve the read tasks (observed deadlock)
-    pts = geotag_points(
-        str(tmp_path / "pages"),
-        extract_concurrency=(1, 2),
-        join_concurrency=(1, 2),
-        batch_size=1024,
-    )
-    df = pts.to_pandas()
+    pages = str(tmp_path / "pages")
+    generate_pages_parquet(pages, n, rows_per_file=1000)
+    paths = sorted(str(p) for p in (tmp_path / "pages").glob("*.parquet"))
+    kernel = FusedPagesGeotag(admin_polygons_table(), batch_rows=512)
+    pts = ray.data.from_items([{"path": p} for p in paths], override_num_blocks=len(paths))
+    df = pts.map_batches(kernel, batch_format="pyarrow", batch_size=1).to_pandas()
     # expected: all rows with geo signal are joined to exactly one admin cell
     f = row_fields(np.arange(n, dtype=np.uint64))
     assert len(df) == int(f["has_geo"].sum())
     assert df["admin_id"].notna().all()
-    assert {"url", "lat", "lon", "s2_l12", "grid_tile", "admin_id"} <= set(df.columns)
+    # only the rollup key is tiled
+    assert {"url", "lat", "lon", "s2_l12", "admin_id"} <= set(df.columns)
+    assert not {"grid_tile", "hex_tile"} & set(df.columns)
+    assert not any(c.startswith("h3_r") for c in df.columns)
     # ground truth lat/lon match
     truth = {f"article-{i}": (f["lat"][i], f["lon"][i]) for i in range(n) if f["has_geo"][i]}
     for _, row in df.sample(50, random_state=0).iterrows():
@@ -106,9 +105,13 @@ def test_flagship_end_to_end(ray_session, tmp_path):
         tlat, tlon = truth[key]
         assert row["lat"] == tlat and row["lon"] == tlon
 
-    rollup = tile_rollup(pts).to_pandas()
+    # per-shard counts: every row read, geotagged rows counted before the join
+    pts0, rows_in, rows_geo = kernel.shard(paths[0])
+    assert rows_in == 1000 and rows_geo == int(f["has_geo"][:1000].sum())
+    assert pts0.num_rows == rows_geo
+
+    rollup = run_flagship_fused(pages, num_partitions=4).to_pandas()
     assert rollup["n_pages"].sum() == len(df)
-    # mean position of each tile is inside the tile-ish (sanity)
     assert (rollup["n_pages"] > 0).all()
 
 
@@ -119,25 +122,35 @@ def test_assign_tiles_h3(ray_session):
 
     from geopolars_ray.stages.extract import assign_tiles
     from geopolars_ray.geom import h3 as h3_mod
-    from geopolars_ray.geom import h3ish
 
     lon = np.array([0.0, 100.0, np.nan])
     lat = np.array([45.0, -30.0, 10.0])
     t = pa.table({"lon": pa.array(lon), "lat": pa.array(lat)})
-    # default: canonical Uber H3 ids
     out = ray.data.from_arrow(t).map_batches(
         assign_tiles(h3_res=7), batch_format="pyarrow"
     ).take_all()
     expect = h3_mod.latlng_to_cell(lat[:2], lon[:2], 7).view(np.int64)
     assert out[0]["h3_r7"] == expect[0] and out[1]["h3_r7"] == expect[1]
     assert out[2]["h3_r7"] is None
-    # legacy kernel stays reachable
-    out = ray.data.from_arrow(t).map_batches(
-        assign_tiles(h3_res=7, h3_canonical=False), batch_format="pyarrow"
-    ).take_all()
-    legacy = h3ish.h3ish_cell_id(lon[:2], lat[:2], 7)
-    assert out[0]["h3ish_r7"] == legacy[0] and out[1]["h3ish_r7"] == legacy[1]
-    assert out[2]["h3ish_r7"] is None
+
+
+def test_assign_tiles_computes_only_requested_kinds():
+    """Each tile kind is computed iff its parameter is not None; the
+    defaults stay s2_l12 + grid_tile."""
+    from geopolars_ray.geom import s2 as s2_mod
+    from geopolars_ray.stages.extract import assign_tiles
+
+    t = pa.table({"lon": pa.array([2.35, np.nan]), "lat": pa.array([48.85, 1.0])})
+    cols = lambda **kw: assign_tiles(**kw)(t).column_names[2:]
+    assert cols() == ["s2_l12", "grid_tile"]
+    assert cols(s2_level=None, grid_cell_deg=None, h3_res=7) == ["h3_r7"]
+    assert cols(grid_cell_deg=None, s2_level=10) == ["s2_l10"]
+    assert cols(s2_level=None, grid_cell_deg=None, hex_size_deg=0.5) == ["hex_tile"]
+    assert cols(s2_level=None, grid_cell_deg=None) == []
+    s2 = assign_tiles(grid_cell_deg=None)(t)["s2_l12"].to_pylist()
+    assert s2[0] == int(s2_mod.s2_cell_id(np.array([2.35]), np.array([48.85]), level=12)
+                        .view(np.int64)[0])
+    assert s2[1] is None
 
 
 def test_fused_flagship_matches_unfused(ray_session, tmp_path):
@@ -146,7 +159,8 @@ def test_fused_flagship_matches_unfused(ray_session, tmp_path):
     and exact counts; float sums equal to combiner-reassociation tolerance."""
     import numpy as np
     import pyarrow.parquet as pq
-    from geopolars_ray.pipelines.flagship import run_flagship, run_flagship_fused
+    from flagship_oracle import chain_rollup
+    from geopolars_ray.pipelines.flagship import run_flagship_fused
     from geopolars_ray.sources.pages import pages_batch
 
     d = tmp_path / "pages"
@@ -155,7 +169,7 @@ def test_fused_flagship_matches_unfused(ray_session, tmp_path):
         pq.write_table(pages_batch(np.arange(s, s + 20_000, dtype=np.int64)),
                        str(d / f"pages-{s:09d}.parquet"))
 
-    a = run_flagship(str(d)).to_pandas().sort_values(["tile", "admin_id"]).reset_index(drop=True)
+    a = chain_rollup(str(d)).to_pandas().sort_values(["tile", "admin_id"]).reset_index(drop=True)
     b = run_flagship_fused(str(d), num_partitions=4).to_pandas().sort_values(
         ["tile", "admin_id"]).reset_index(drop=True)
     assert len(a) == len(b)

@@ -178,26 +178,6 @@ def test_exterior_is_first_ring(polys):
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.tuples(
-    st.floats(min_value=-179.9, max_value=179.9, allow_nan=False),
-    st.floats(min_value=-89.9, max_value=89.9, allow_nan=False),
-), min_size=1, max_size=50))
-def test_h3ish_parent_resolution_chain(points):
-    """cell -> parent chains decrease resolution monotonically and stay
-    deterministic across recomputation."""
-    from geopolars_ray.geom import h3ish as H
-
-    lon = np.array([p[0] for p in points])
-    lat = np.array([p[1] for p in points])
-    ids = H.h3ish_cell_id(lon, lat, 4)
-    assert (H.h3ish_cell_id(lon, lat, 4) == ids).all()
-    par = H.h3ish_to_parent(ids)
-    assert (H.h3ish_resolution(par) == 3).all()
-    gpar = H.h3ish_to_parent(par)
-    assert (H.h3ish_resolution(gpar) == 2).all()
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(
     st.floats(min_value=3.01, max_value=8.99, allow_nan=False),
     st.floats(min_value=-79.9, max_value=79.9, allow_nan=False),
 ), min_size=1, max_size=40))

@@ -63,3 +63,35 @@ def test_cut_to_tiles_lines_and_points(ray_session):
     ga = decode_wkb(pa.array(line_rows["geometry"].tolist()))
     np.testing.assert_allclose(K.euclidean_length(ga).sum(), 2.0, rtol=1e-12)
     assert len(out[out["fid"] == 1]) == 1             # point: single tile
+
+
+def test_cut_to_tiles_clamps_east_and_north_edges(ray_session):
+    """A feature touching lon 180 and lat 90 lands in the last column and
+    row; with drop_empty=False every tile id is still the one its
+    rectangle decodes to (no (ix, ny) alias of tile (ix + 1, 0))."""
+    import ray
+    from geopolars_ray.stages.tilecut import cut_to_tiles
+
+    geoms = GeometryArray.from_pylist([
+        ("polygon", [[(178.5, 88.5), (180.0, 88.5), (180.0, 90.0), (178.5, 90.0),
+                      (178.5, 88.5)]]),
+        ("point", (180.0, 90.0)),
+        ("point", (-180.0, -90.0)),
+    ])
+    t = pa.table({"fid": pa.array([0, 1, 2]), "geometry": encode_wkb(geoms)})
+    out = cut_to_tiles(ray.data.from_arrow(t), tile_deg=1.0, drop_empty=False).to_pandas()
+    nx, ny = 360, 180
+    assert (out["tile"] >= 0).all() and (out["tile"] < nx * ny).all()
+    poly = out[out["fid"] == 0]
+    assert sorted(poly["tile"]) == [
+        ix * ny + iy for ix in (nx - 2, nx - 1) for iy in (ny - 2, ny - 1)]
+    assert out.loc[out["fid"] == 1, "tile"].tolist() == [nx * ny - 1]
+    assert out.loc[out["fid"] == 2, "tile"].tolist() == [0]
+    # each piece lies inside the rectangle its tile id decodes to
+    ga = decode_wkb(pa.array(out["geometry"].tolist()))
+    xmin, ymin, xmax, ymax = K.bounds(ga)
+    lo0 = (out["tile"].values // ny) - 180.0
+    la0 = (out["tile"].values % ny) - 90.0
+    ok = ~np.isnan(xmin)
+    assert (xmin[ok] >= lo0[ok] - 1e-9).all() and (xmax[ok] <= lo0[ok] + 1 + 1e-9).all()
+    assert (ymin[ok] >= la0[ok] - 1e-9).all() and (ymax[ok] <= la0[ok] + 1 + 1e-9).all()
