@@ -517,7 +517,7 @@ def sjoin_large_large(num_partitions: int) -> dict:
     # internal hash exchange re-splits)
     def bcast_join():
         pts_ds = ray.data.from_arrow(pts).repartition(num_partitions)
-        return broadcast_spatial_join(pts_ds, admin, how="inner", concurrency=4)
+        return broadcast_spatial_join(pts_ds, admin, how="inner")
 
     t0 = time.time()
     n_part = part_join().count()

@@ -60,12 +60,24 @@ from itertools import count
 
 import numpy as np
 
+from geopolars_ray.geom.budget import VertexBudgetError
+
 SUBJECT = 0
 CLIPPING = 1
 
 OPS = ("intersection", "union", "difference", "symmetric_difference")
 
 _seq = count()
+
+# Events one sweep may pop: _SWEEP_BUDGET_C * (n + 1)^2 for n input
+# segments. An exact sweep pops 2n events plus a few per crossing, and n
+# segments cross at most n^2 / 2 times, so it stays well under the budget;
+# float division points that keep spawning new crossings do not.
+_SWEEP_BUDGET_C = 16
+
+
+class SweepBudgetError(VertexBudgetError):
+    """A Bentley–Ottmann sweep popped more events than its size allows."""
 
 
 class _Event:
@@ -296,7 +308,17 @@ class _Sweep:
     # -- main loop --------------------------------------------------------
     def run(self) -> list[_Event]:
         status = self.status
+        n_segments = len(self.queue) // 2
+        budget = _SWEEP_BUDGET_C * (n_segments + 1) ** 2
+        popped = 0
         while self.queue:
+            popped += 1
+            if popped > budget:
+                raise SweepBudgetError(
+                    f"overlay sweep: {n_segments} segments popped more than "
+                    f"{budget} events ({_SWEEP_BUDGET_C} x (segments + 1)^2): "
+                    f"its division points keep creating new crossings, as "
+                    f"near-coincident or non-finite vertices make them do")
             ev = heapq.heappop(self.queue)
             if ev.void:
                 continue  # lazily-deleted half of a divided segment
@@ -845,22 +867,57 @@ def make_valid_geom(geom):
     (exteriors CCW, holes CW) and nesting depth reassigned. Non-polygonal
     geometries are returned unchanged (points/lines carry no ring
     validity constraints in this engine); None passes through; a fully
-    degenerate polygon (zero area everywhere) becomes None."""
+    degenerate polygon (zero area everywhere) becomes None.
+
+    This is the exact path. For a single simple ring (one that
+    ``validity.simple_ring_mask`` passes) the noding returns the ring's
+    own edges and every edge is kept, so the result is
+    ``_assemble(_connect_edges(edges))`` of those edges:
+    ``make_valid_arrays`` computes that tail directly for such rows."""
     if geom is None or geom[0] not in ("polygon", "multipolygon"):
         return geom
-    g = _assemble_input(_rings_of(geom))
+    return _single_part_as_polygon(_assemble_input(_rings_of(geom)))
+
+
+def _single_part_as_polygon(g):
+    """An ``_assemble`` result with one part becomes a POLYGON."""
     if g is not None and len(g[1]) == 1:
         return ("polygon", g[1][0])
     return g
 
 
 def make_valid_arrays(ga):
-    """Row-wise ``make_valid_geom`` over a GeometryArray."""
-    from geopolars_ray.geom.array import GeometryArray
+    """Row-wise ``make_valid_geom`` over a GeometryArray, bit-identical to
+    it on every row.
 
-    return GeometryArray.from_pylist(
-        [make_valid_geom(g) for g in ga.to_pylist()]
-    )
+    Fast path: rows that ``validity.simple_ring_mask`` passes (one simple
+    ring, every edge pair clear by 10^6 x ``_SNAP_RTOL`` times the row's
+    scale) skip the subdivide and parity-label steps. Their canonical
+    edges go straight into the tail the exact path ends with,
+    ``_assemble(_connect_edges(edges))``, so the start vertex, the
+    orientation and every coordinate are the ones the exact path gives.
+    All other rows run ``make_valid_geom``."""
+    from geopolars_ray.geom.array import GeometryArray
+    from geopolars_ray.geom.validity import _ring_cycles, simple_ring_mask
+
+    fast = simple_ring_mask(ga)
+    out: list = [None] * len(ga)
+    rows = np.flatnonzero(fast)
+    if len(rows):
+        V, voff, nxt = _ring_cycles(ga, rows)
+        a, b = V, V[nxt]
+        swap = (b[:, 0] < a[:, 0]) | ((b[:, 0] == a[:, 0]) & (b[:, 1] < a[:, 1]))
+        lo = np.where(swap[:, None], b, a)
+        hi = np.where(swap[:, None], a, b)
+        edges = np.hstack([lo, hi]).tolist()
+        bounds = voff.tolist()
+        for r, i in enumerate(rows.tolist()):
+            segs = [((e[0], e[1]), (e[2], e[3])) for e in edges[bounds[r]:bounds[r + 1]]]
+            out[i] = _single_part_as_polygon(_assemble(_connect_edges(segs)))
+    slow = np.flatnonzero(~fast)
+    for i, g in zip(slow.tolist(), ga.take(slow).to_pylist()):
+        out[i] = make_valid_geom(g)
+    return GeometryArray.from_pylist(out)
 
 
 def overlay_arrays(lga, rga, operation: str):
@@ -878,8 +935,5 @@ def overlay_arrays(lga, rga, operation: str):
         if a is None and b is None:
             out.append(None)
             continue
-        g = boolean_op(a, b, operation)
-        if g is not None and len(g[1]) == 1:
-            g = ("polygon", g[1][0])
-        out.append(g)
+        out.append(_single_part_as_polygon(boolean_op(a, b, operation)))
     return GeometryArray.from_pylist(out)

@@ -26,6 +26,22 @@ arithmetic, and the "Interior is disconnected" error (a hole chain touching
 the shell at two points) is NOT detected — such polygons pass. Points,
 lines and multipoints are valid whenever parts have enough coordinates,
 matching GEOS (a self-crossing LineString IS valid).
+
+Fast path (filter and refine): ``simple_ring_mask`` is one batched NumPy
+test, built from the offsets with no per-row Python, that decides the
+common row before any noding. It passes a POLYGON with one closed ring
+of 3 to ``_PAIR_CHUNK`` points, finite coordinates, no edge shorter than
+the margin, non-zero area, no two non-adjacent edges crossing or closer
+than the margin, and each adjacent edge's far endpoint farther than the
+margin from the other edge. The margin is ``_MARGIN_RTOL`` = 10^6 x
+``overlay._SNAP_RTOL`` times the row's own scale, max(1, max |coordinate|),
+as ``node_segments`` computes it. For a passing row the noding can add no
+vertex and neither snap, split nor divide an edge, so the exact checks
+would return ``"Valid Geometry"``: ``is_valid_reason`` returns it without
+running them, and runs ``_check_polygonal`` only on the other rows.
+``overlay.make_valid_arrays`` uses the same mask. The decision depends on
+the row alone, so results do not depend on how rows are batched, and the
+output is bit-identical to the exact path's.
 """
 
 from __future__ import annotations
@@ -42,8 +58,10 @@ from geopolars_ray.geom.array import (
     POINT,
     POLYGON,
     GeometryArray,
+    _expand_ranges,
 )
 from geopolars_ray.geom.overlay import (
+    _SNAP_RTOL,
     SUBJECT,
     _point_in_even_odd,
     _point_in_ring,
@@ -52,6 +70,139 @@ from geopolars_ray.geom.overlay import (
 )
 
 VALID = "Valid Geometry"
+
+# The prefilter's margin, relative to a row's coordinate scale (computed as
+# ``node_segments`` computes it). It is 10^6 snap tolerances: the noding
+# snaps and splits only within one tolerance, and its float crossing test
+# errs by orders of magnitude less than the margin.
+_MARGIN_RTOL = 1.0e6 * _SNAP_RTOL
+# Edge pairs the prefilter tests at once, which bounds its temporaries.
+# A ring with more vertices than this takes the exact path.
+_PAIR_CHUNK = 1 << 16
+# Above this coordinate scale the squared differences could overflow.
+_MAX_SCALE = 1.0e150
+
+
+def _ring_cycles(ga: GeometryArray, rows: np.ndarray):
+    """Open vertex cycle (closing point dropped) of the single ring of each
+    row in ``rows``: flat (v, 2) coords, int64[len(rows)+1] offsets, and
+    the index of each vertex's successor around its ring."""
+    ring = ga.part_offsets[ga.geom_offsets[rows]]
+    start = ga.ring_offsets[ring]
+    stop = ga.ring_offsets[ring + 1] - 1
+    voff = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(stop - start, out=voff[1:])
+    nxt = np.arange(1, voff[-1] + 1, dtype=np.int64)
+    nxt[voff[1:] - 1] = voff[:-1]
+    return ga.coords[_expand_ranges(start, stop)], voff, nxt
+
+
+def _seg_dist2(px, py, ax, ay, bx, by):
+    """Squared distance from points (px, py) to segments a-b."""
+    dx = bx - ax
+    dy = by - ay
+    t = np.clip(((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+    ex = ax + t * dx - px
+    ey = ay + t * dy - py
+    return ex * ex + ey * ey
+
+
+def _orient_sign(ax, ay, bx, by, px, py):
+    """Side of line a-b that points (px, py) are on: 1 left, -1 right."""
+    return np.sign((bx - ax) * (py - ay) - (by - ay) * (px - ax))
+
+
+def _pairs_clear(V, voff, nxt, margin2) -> np.ndarray:
+    """Per ring: True when no two non-adjacent edges cross or come within
+    the margin, and each adjacent edge's far endpoint is farther than the
+    margin from the other edge. Pairs are generated per edge (edge i with
+    edges i+1..k-1 of its ring) and tested in chunks of ``_PAIR_CHUNK``."""
+    nrows = len(voff) - 1
+    k = np.diff(voff)
+    row_of = np.repeat(np.arange(nrows), k)
+    last = voff[1:][row_of] - 1
+    cnt = last - np.arange(len(V))
+    cum = np.cumsum(cnt)
+    x, y = V[:, 0], V[:, 1]
+    nx, ny = x[nxt], y[nxt]
+    clear = np.ones(nrows, dtype=bool)
+    e0 = 0
+    while e0 < len(V):
+        base = cum[e0 - 1] if e0 else 0
+        e1 = max(e0 + 1, int(np.searchsorted(cum, base + _PAIR_CHUNK, side="right")))
+        c = cnt[e0:e1]
+        ea = np.repeat(np.arange(e0, e1), c)
+        head = np.repeat(np.cumsum(c) - c, c)
+        eb = ea + 1 + (np.arange(len(ea)) - head)
+        ax, ay, bx, by = x[ea], y[ea], nx[ea], ny[ea]
+        cx, cy, dx, dy = x[eb], y[eb], nx[eb], ny[eb]
+        # edge b's endpoints against edge a, and a's against b
+        d_c = _seg_dist2(cx, cy, ax, ay, bx, by)
+        d_d = _seg_dist2(dx, dy, ax, ay, bx, by)
+        d_a = _seg_dist2(ax, ay, cx, cy, dx, dy)
+        d_b = _seg_dist2(bx, by, cx, cy, dx, dy)
+        # the shared vertex of an adjacent pair is not a contact
+        fwd = eb == ea + 1                          # a's end is b's start
+        wrap = eb - ea == k[row_of[ea]] - 1          # b's end is a's start
+        d_c[fwd] = np.inf
+        d_b[fwd] = np.inf
+        d_d[wrap] = np.inf
+        d_a[wrap] = np.inf
+        # written as '>' so a NaN distance counts as a contact
+        apart = np.minimum(np.minimum(d_c, d_d), np.minimum(d_a, d_b)) > margin2[row_of[ea]]
+        cross = ((_orient_sign(ax, ay, bx, by, cx, cy) * _orient_sign(ax, ay, bx, by, dx, dy) < 0)
+                 & (_orient_sign(cx, cy, dx, dy, ax, ay) * _orient_sign(cx, cy, dx, dy, bx, by) < 0))
+        clear[row_of[ea[~apart | cross]]] = False
+        e0 = e1
+    return clear
+
+
+def simple_ring_mask(ga: GeometryArray) -> np.ndarray:
+    """bool[n]: rows that are certainly valid simple rings, decided from
+    the row alone (so the answer does not depend on the batch).
+
+    A row passes only when it is a POLYGON with one closed ring of 3 to
+    ``_PAIR_CHUNK`` points (after dropping the closing point), finite
+    coordinates below ``_MAX_SCALE``, no edge shorter than the margin (so
+    no consecutive duplicates), non-zero area, no two non-adjacent edges
+    crossing or within the margin of each other, and each adjacent edge's
+    far endpoint farther than the margin from the other edge. The
+    margin is ``_MARGIN_RTOL`` (10^6 x ``overlay._SNAP_RTOL``) times the
+    row's scale max(1, max |coordinate|), the scale ``node_segments``
+    uses. For such a row the noding divides, snaps and splits nothing, so
+    its groups are exactly the ring's own edges: ``_check_polygonal``
+    returns ``VALID`` and ``make_valid_geom`` traces those edges. Rows that
+    fail are not necessarily invalid; they take the exact path."""
+    out = np.zeros(len(ga), dtype=bool)
+    go, po, ro = ga.geom_offsets, ga.part_offsets, ga.ring_offsets
+    rows = np.flatnonzero((ga.types == POLYGON) & (go[1:] - go[:-1] == 1))
+    rows = rows[po[go[rows] + 1] - po[go[rows]] == 1]
+    ring = po[go[rows]]
+    k = ro[ring + 1] - ro[ring] - 1
+    keep = (k >= 3) & (k <= _PAIR_CHUNK)
+    rows, ring = rows[keep], ring[keep]
+    closed = (ga.coords[ro[ring]] == ga.coords[ro[ring + 1] - 1]).all(axis=1)
+    rows = rows[closed]
+    if not len(rows):
+        return out
+    V, voff, nxt = _ring_cycles(ga, rows)
+    starts = voff[:-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = V[nxt] - V
+        # NaN and inf give a scale that fails the bound
+        scale = np.maximum(1.0, np.maximum.reduceat(np.abs(V).max(axis=1), starts))
+        margin2 = (_MARGIN_RTOL * scale) ** 2
+        # an edge no longer than the margin (a consecutive duplicate too)
+        short = np.logical_or.reduceat(
+            ~((e * e).sum(axis=1) > np.repeat(margin2, np.diff(voff))), starts)
+        area2 = np.add.reduceat(V[:, 0] * e[:, 1] - e[:, 0] * V[:, 1], starts)
+    ok = (scale <= _MAX_SCALE) & ~short & (area2 != 0)
+    rows, margin2 = rows[ok], margin2[ok]
+    if not len(rows):
+        return out
+    V, voff, nxt = _ring_cycles(ga, rows)
+    out[rows[_pairs_clear(V, voff, nxt, margin2)]] = True
+    return out
 
 
 def _clean_closed(ring: np.ndarray) -> np.ndarray:
@@ -229,9 +380,12 @@ def is_valid_reason(ga: GeometryArray) -> list:
     """GEOS ``isValidReason`` per row: ``"Valid Geometry"`` or the first
     violated rule with its location, None for missing rows."""
     out: list = []
+    fast = simple_ring_mask(ga)
     for i in range(len(ga)):
         t = int(ga.types[i])
-        if t == MISSING:
+        if fast[i]:
+            out.append(VALID)
+        elif t == MISSING:
             out.append(None)
         elif t in (POINT, MULTIPOINT):
             out.append(VALID)

@@ -443,7 +443,15 @@ def _halo_exchange_map(raster_ds, tile_deg, resolution, halo, per_tile,
         out_cols: dict[str, list] = {}
         for rows in np.split(order, cut):
             tid = int(t[rows[0]])
-            drows = {(int(dx[r]), int(dy[r])): r for r in rows}
+            drows = {}
+            for r in rows:
+                key = (int(dx[r]), int(dy[r]))
+                if key in drows:
+                    raise ValueError(
+                        f"tile {tid} got two strips from offset {key}: the "
+                        f"raster dataset holds tile {tid} or one of its "
+                        f"neighbours more than once")
+                drows[key] = r
             if (0, 0) not in drows:
                 continue          # halo strips for an absent tile: no output
             v = np.zeros((pad, pad))
@@ -880,6 +888,8 @@ def contour_lines(
     levels = [float(l) for l in np.atleast_1d(levels)]
     if not levels:
         raise ValueError("need at least one contour level")
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"contour levels must be distinct, got {levels}")
     res = int(resolution)
     cw = tile_deg / res
     ny = int(np.ceil(180.0 / tile_deg))
@@ -895,10 +905,10 @@ def contour_lines(
         out = {}
         x0 = -(h - 0.5) * cw    # local frame: tile origin at (0, 0)
         y0 = -(h - 0.5) * cw
-        for lv in levels:
+        for li, lv in enumerate(levels):
             segs = _marching_squares(v, m, lv, x0, y0, cw,
                                      h, h + res, h, h + res)
-            out[f"segments_{lv}"] = segs
+            out[f"segments_{li}"] = segs
         return out
 
     local = _halo_exchange_map(raster_ds, tile_deg, resolution, h,
@@ -908,14 +918,14 @@ def contour_lines(
         tiles = batch["tile"].to_numpy(zero_copy_only=False)
         # one bulk gather per level column (not per-row .as_py() — see
         # stages/extract.py:54 for the measured cost of scalar gathers)
-        seg_cols = {lv: batch[f"segments_{lv}"].to_pylist() for lv in levels}
+        seg_cols = [batch[f"segments_{li}"].to_pylist() for li in range(len(levels))]
         out_t, out_lv, out_seg = [], [], []
         for row in range(len(tiles)):
             t = int(tiles[row])
             lo0 = (t // ny) * tile_deg - 180.0
             la0 = (t % ny) * tile_deg - 90.0
-            for lv in levels:
-                segs = np.asarray(seg_cols[lv][row], dtype=np.float64)
+            for li, lv in enumerate(levels):
+                segs = np.asarray(seg_cols[li][row], dtype=np.float64)
                 if len(segs):
                     segs[0::2] += lo0
                     segs[1::2] += la0

@@ -325,3 +325,35 @@ def test_raster_math_ops_and_fill(ray_session):
     import pytest as _pt
     with _pt.raises(ValueError, match="unknown raster op"):
         raster_math(a, b, op="pow")
+
+
+def test_halo_exchange_rejects_duplicate_strips(ray_session):
+    """A tile held twice sends each neighbour two strips from the same
+    offset; the assembler used to keep whichever came last."""
+    import ray
+    from geopolars_ray.stages.raster import focal_aggregate
+
+    res = 4
+    grid = np.arange(res * res, dtype=np.float64).tolist()
+    tiles = ray.data.from_arrow(pa.table({
+        "tile": pa.array([60, 61, 61], pa.int64()),
+        "raster": pa.array([grid, grid, [2.0 * v for v in grid]], pa.list_(pa.float64())),
+    }))
+    with pytest.raises(ValueError, match="two strips from offset"):
+        focal_aggregate(tiles, tile_deg=15.0, resolution=res, kernel=3,
+                        stat="mean").to_pandas()
+
+
+def test_contour_lines_rejects_duplicate_levels(ray_session):
+    """Internal columns are keyed by level index, and a level given twice
+    (0.0 and -0.0 are one level) is refused up front."""
+    import ray
+    from geopolars_ray.stages.raster import contour_lines
+
+    tiles = ray.data.from_arrow(pa.table({
+        "tile": pa.array([60], pa.int64()),
+        "raster": pa.array([[0.0] * 16], pa.list_(pa.float64())),
+    }))
+    for levels in ([5.0, 5.0], [0.0, -0.0], np.array([1.5, 2.0, 1.5])):
+        with pytest.raises(ValueError, match="distinct"):
+            contour_lines(tiles, levels, resolution=4)
