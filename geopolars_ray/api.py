@@ -1004,16 +1004,13 @@ class GeoDataset:
         **kw,
     ) -> "GeoDataset":
         """Large-large spatial join: co-partition this POINT dataset and a
-        polygon DATASET by exchange cell, hash-join, refine exactly — the
-        scale path when the polygon side is too big to broadcast
+        polygon DATASET by lat/lon grid cell, hash-join, refine exactly —
+        the scale path when the polygon side is too big to broadcast
         (`stages/join.py partitioned_spatial_join`). ``polygons`` may be a
         ray Dataset, a GeoDataset, or an arrow Table (converted). Keyword
-        passthrough: ``cell_deg`` / ``num_partitions`` tune the lat/lon
-        grid exchange; ``h3_res=<r>`` switches the exchange key to
-        canonical Uber H3 cells (equal-area, shape-following polygon
-        covers); ``s2_level=<L>`` to S2 cells (hierarchical Hilbert keys);
-        ``predicate="dwithin", distance=d`` for within-distance
-        joins (grid mode only).
+        passthrough: ``cell_deg`` / ``num_partitions`` tune the grid
+        exchange; ``predicate="dwithin", distance=d`` for within-distance
+        joins.
 
         The result is the matched point rows + polygon payload columns, a
         plain attribute table (``geometry_col=None`` — re-join against the

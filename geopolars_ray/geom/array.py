@@ -367,3 +367,20 @@ def _expand_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     incr[head[1:]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
     np.cumsum(incr, out=incr)
     return incr
+
+
+def _expand_cell_rects(ix0, ix1, iy0, iy1, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """(item, cell) pairs of inclusive cell-index rectangles, vectorized.
+
+    Item k covers columns ``ix0[k]..ix1[k]`` and rows ``iy0[k]..iy1[k]``;
+    its cells are ``ix * ny + iy``, emitted item by item, column-major.
+    The indices come floored and clamped by the caller (each grid has its
+    own rule); an empty range emits nothing for that item.
+    """
+    nxv = np.maximum(ix1 - ix0 + 1, 0)
+    nyv = np.maximum(iy1 - iy0 + 1, 0)
+    pair_v = np.repeat(np.arange(len(ix0), dtype=np.int64), nxv)  # (item, col)
+    col_ix = _expand_ranges(ix0, ix1 + 1)
+    pair2 = np.repeat(np.arange(len(pair_v), dtype=np.int64), nyv[pair_v])
+    row_iy = _expand_ranges(iy0[pair_v], iy1[pair_v] + 1)
+    return pair_v[pair2], col_ix[pair2] * ny + row_iy

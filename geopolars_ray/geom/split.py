@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from geopolars_ray.geom.overlay import CLIPPING, SUBJECT, _point_in_ring, node_segments
+from geopolars_ray.geom.overlay import CLIPPING, SUBJECT, _point_in_even_odd, node_segments
 from geopolars_ray.geom.polygonize import _segments_of, polygonize_geoms
 from geopolars_ray.geom.triangulate import triangulate_polygon_rings
 
@@ -122,17 +122,6 @@ def _face_probe(rings):
     return best
 
 
-def _point_in_rings(px, py, rings):
-    """Even-odd test over a MULTI-ring boundary: XOR of overlay's
-    single-ring crossing test (one implementation of the half-open
-    crossing rule; see overlay._point_in_ring)."""
-    inside = False
-    for r in rings:
-        if _point_in_ring(px, py, r):
-            inside = not inside
-    return inside
-
-
 def _split_polygon_by_line(g, blade):
     polys = [g[1]] if g[0] == "polygon" else g[1]
     boundary = []
@@ -148,7 +137,7 @@ def _split_polygon_by_line(g, blade):
     keep = []
     for f in faces:
         probe = _face_probe(f[1])
-        if probe is not None and _point_in_rings(probe[0], probe[1], src_rings):
+        if probe is not None and _point_in_even_odd(probe[0], probe[1], src_rings):
             keep.append(f[1])
     return ("multipolygon", keep) if keep else None
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geopolars_ray.geom.array import GeometryArray, _expand_ranges
+from geopolars_ray.geom.array import GeometryArray, _expand_cell_rects, _expand_ranges
 from geopolars_ray.geom import kernels
 
 _NODE_CAP = 16
@@ -155,8 +155,35 @@ class PreparedPolygons:
     def contains_points(self, i: int, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         return points_in_polygon_single(px, py, self.rings_of(i))
 
-    def dwithin_points(self, i: int, px: np.ndarray, py: np.ndarray, distance: float) -> np.ndarray:
-        return points_dwithin_rings(px, py, self.rings_of(i), distance)
+    def match(self, point_idx: np.ndarray, poly_idx: np.ndarray, px: np.ndarray, py: np.ndarray,
+              distance: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Refine candidate (point, polygon) pairs: the matching pairs as
+        ``(points, polys)``.
+
+        ``px[point_idx[k]], py[point_idx[k]]`` is tested against polygon
+        ``poly_idx[k]``. Pairs are grouped by polygon so each polygon tests
+        all of its candidate points in one vectorized call; the result comes
+        out with polygon ids ascending and, within a polygon, points in
+        candidate order. ``distance=None`` is boundary-exclusive
+        containment; ``distance >= 0`` is inside OR within ``distance`` of
+        the boundary (``points_dwithin_rings``, 0 included)."""
+        point_idx = np.asarray(point_idx, dtype=np.int64)
+        poly_idx = np.asarray(poly_idx, dtype=np.int64)
+        order = np.argsort(poly_idx, kind="stable")
+        polys = poly_idx[order]
+        points = point_idx[order]
+        if not len(points):
+            return points, polys
+        keep = np.zeros(len(points), dtype=bool)
+        heads = np.flatnonzero(np.diff(polys)) + 1
+        for lo, hi in zip(np.r_[0, heads].tolist(), np.r_[heads, len(points)].tolist()):
+            grp = points[lo:hi]
+            rings = self.rings_of(int(polys[lo]))
+            if distance is None:
+                keep[lo:hi] = points_in_polygon_single(px[grp], py[grp], rings)
+            else:
+                keep[lo:hi] = points_dwithin_rings(px[grp], py[grp], rings, distance)
+        return points[keep], polys[keep]
 
 
 # --------------------------------------------------------------------------
@@ -294,18 +321,8 @@ class GridIndex:
         cx1 = np.clip(((vb[:, 2] - self.x0) / self.dx).astype(np.int64), 0, self.nx - 1)
         cy0 = np.clip(((vb[:, 1] - self.y0) / self.dy).astype(np.int64), 0, self.ny - 1)
         cy1 = np.clip(((vb[:, 3] - self.y0) / self.dy).astype(np.int64), 0, self.ny - 1)
-        pairs_cell = []
-        pairs_item = []
-        # expand each item's covered cell rectangle (items usually cover few cells)
-        spans = (cx1 - cx0 + 1) * (cy1 - cy0 + 1)
-        for i in range(len(vb)):
-            xs = np.arange(cx0[i], cx1[i] + 1)
-            ys = np.arange(cy0[i], cy1[i] + 1)
-            cells = (xs[:, None] * self.ny + ys[None, :]).ravel()
-            pairs_cell.append(cells)
-            pairs_item.append(np.full(len(cells), ids[i], dtype=np.int64))
-        cell = np.concatenate(pairs_cell)
-        item = np.concatenate(pairs_item)
+        item, cell = _expand_cell_rects(cx0, cx1, cy0, cy1, self.ny)
+        item = ids[item]
         order = np.argsort(cell, kind="stable")
         cell, item = cell[order], item[order]
         counts = np.bincount(cell, minlength=self.nx * self.ny)

@@ -6,6 +6,9 @@ the `geo` crate and never exposes GEOS IsValidOp); pipelines need it
 constantly — "drop invalid polygons before the spatial join" is a standard
 cleaning stage. Checks implemented, in GEOS reason priority:
 
+- **Invalid Coordinate**: a NaN or infinite vertex, decided for every row
+  before any other check (a POINT whose x and y are both NaN is POINT
+  EMPTY, which is valid).
 - **Too few points in geometry component**: any polygon ring with fewer
   than 4 points once closed (consecutive duplicates collapsed first), or a
   line part with fewer than 2 distinct points.
@@ -376,14 +379,32 @@ def _check_lineal(ga: GeometryArray, i: int) -> str:
     return VALID
 
 
+def _invalid_coordinates(ga: GeometryArray) -> dict[int, str]:
+    """``Invalid Coordinate[x y]`` at the first NaN or infinite vertex of
+    each row that has one; an all-NaN point is POINT EMPTY, not invalid."""
+    c = ga.coords
+    bad = ~np.isfinite(c).all(axis=1)
+    if not bad.any():
+        return {}
+    row = np.repeat(np.arange(len(ga)), np.diff(ga.coord_offsets()))
+    bad &= ~(np.isnan(c).all(axis=1) & np.isin(ga.types[row], (POINT, MULTIPOINT)))
+    idx = np.flatnonzero(bad)
+    rows, first = np.unique(row[idx], return_index=True)
+    return {int(r): f"Invalid Coordinate[{c[k, 0]:g} {c[k, 1]:g}]"
+            for r, k in zip(rows, idx[first])}
+
+
 def is_valid_reason(ga: GeometryArray) -> list:
     """GEOS ``isValidReason`` per row: ``"Valid Geometry"`` or the first
     violated rule with its location, None for missing rows."""
     out: list = []
     fast = simple_ring_mask(ga)
+    invalid_coord = _invalid_coordinates(ga)
     for i in range(len(ga)):
         t = int(ga.types[i])
-        if fast[i]:
+        if i in invalid_coord:
+            out.append(invalid_coord[i])
+        elif fast[i]:
             out.append(VALID)
         elif t == MISSING:
             out.append(None)

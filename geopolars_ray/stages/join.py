@@ -15,11 +15,15 @@ Reimplements ``spatial_join(lhs, rhs, SpatialJoinArgs)``
   vectorized candidate generation. Joined rows are emitted directly with the
   point payload — no equi-join tail needed (SURVEY.md §3.3).
 - :func:`partitioned_spatial_join` — large-large: replicate each polygon to
-  the grid cells its bbox overlaps, assign each point its cell, then a native
-  hash ``Dataset.join`` on the cell id + exact refinement. A point lives in
-  exactly one cell so no output dedup is needed. Partitioning assumption:
-  polygon bboxes are small relative to the cell size (replication factor
-  stays O(1)); choose ``cell_deg`` accordingly.
+  the lat/lon grid cells its bbox overlaps, assign each point its cell, then
+  a union-based ``hash_join`` on the cell id + exact refinement. A point
+  lives in exactly one cell so no output dedup is needed. Partitioning
+  assumption: polygon bboxes are small relative to the cell size
+  (replication factor stays O(1)); choose ``cell_deg`` accordingly.
+
+The broadcast and partitioned joins (and the raster zonal stage) refine
+their candidate pairs with one kernel, ``PreparedPolygons.match``: pairs
+grouped by polygon, one vectorized PIP (or dwithin) call per polygon.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import ray
 
 from geopolars_ray.geom import GeometryArray, decode_wkb, encode_wkb
 from geopolars_ray.geom import kernels as K
+from geopolars_ray.geom.kernels import _rings_of
 from geopolars_ray.geom.array import (
     POINT,
     LINESTRING,
@@ -59,14 +64,6 @@ _LINEISH = (LINESTRING, LINEARRING, MULTILINESTRING)
 # --------------------------------------------------------------------------
 
 
-def _rings_of(ga: GeometryArray, i: int) -> list[np.ndarray]:
-    rings = []
-    for p in range(ga.geom_offsets[i], ga.geom_offsets[i + 1]):
-        for r in range(ga.part_offsets[p], ga.part_offsets[p + 1]):
-            rings.append(ga.coords[ga.ring_offsets[r] : ga.ring_offsets[r + 1]])
-    return rings
-
-
 def _segments_of_rings(rings: list[np.ndarray]) -> np.ndarray | None:
     segs = []
     for c in rings:
@@ -77,28 +74,10 @@ def _segments_of_rings(rings: list[np.ndarray]) -> np.ndarray | None:
     return np.concatenate(segs, axis=0)
 
 
-# segment-segment intersection lives in the kernel layer (shared with
-# distance()); keep the historical private alias for local callers
-_segments_cross = K.segments_cross
-
-
 def _point_in_or_on(rings: list[np.ndarray], px: float, py: float) -> tuple[bool, bool]:
     """(strictly inside, on boundary)."""
     inside = points_in_polygon_single(np.array([px]), np.array([py]), rings)[0]
-    segs = _segments_of_rings(rings)
-    on_b = False
-    if segs is not None:
-        a = segs[:, 0]
-        b = segs[:, 1]
-        cross = (b[:, 0] - a[:, 0]) * (py - a[:, 1]) - (b[:, 1] - a[:, 1]) * (px - a[:, 0])
-        within = (
-            (px >= np.minimum(a[:, 0], b[:, 0]))
-            & (px <= np.maximum(a[:, 0], b[:, 0]))
-            & (py >= np.minimum(a[:, 1], b[:, 1]))
-            & (py <= np.maximum(a[:, 1], b[:, 1]))
-        )
-        on_b = bool(((cross == 0) & within).any())
-    return bool(inside), on_b
+    return bool(inside), _line_contains_point(_segments_of_rings(rings), px, py)
 
 
 def _poly_poly(l_rings, r_rings, want_contains: bool, l_contains_r: bool) -> bool:
@@ -119,11 +98,11 @@ def _poly_poly(l_rings, r_rings, want_contains: bool, l_contains_r: bool) -> boo
                     return False
         # a proper (transversal) edge crossing falsifies containment even
         # with every vertex inside-or-on; boundary touches are allowed
-        if sl is not None and sr is not None and _segments_cross(sl, sr, proper_only=True):
+        if sl is not None and sr is not None and K.segments_cross(sl, sr, proper_only=True):
             return False
         return True
     # intersects
-    if sl is not None and sr is not None and _segments_cross(sl, sr):
+    if sl is not None and sr is not None and K.segments_cross(sl, sr):
         return True
     if len(ra) and points_in_polygon_single(ra[:, 0], ra[:, 1], l_rings).any():
         return True
@@ -309,11 +288,11 @@ class BroadcastPIPJoin:
         table = ray.get(polygons) if isinstance(polygons, ray.ObjectRef) else polygons
         ga = decode_wkb(table[geometry_col])
         self.prep = PreparedPolygons.from_geometry_array(ga)
-        self.predicate = predicate
-        self.distance = float(distance) if distance is not None else 0.0
+        # None is the boundary-exclusive contains; a float is dwithin
+        self.distance = float(distance) if predicate == "dwithin" else None
         # dwithin: candidate generation must see by-distance-expanded boxes
         boxes = self.prep.bounds
-        if predicate == "dwithin" and self.distance > 0:
+        if self.distance:
             boxes = boxes + np.array([-self.distance, -self.distance, self.distance, self.distance])
         self.grid = GridIndex(boxes)
         self.lon_col = lon_col
@@ -327,30 +306,7 @@ class BroadcastPIPJoin:
         lat = batch[self.lat_col].to_numpy(zero_copy_only=False).astype(np.float64)
         ok = ~(np.isnan(lon) | np.isnan(lat))
         pidx, items = self.grid.candidates_for_points(np.where(ok, lon, np.inf), np.where(ok, lat, np.inf))
-        # refine grouped by polygon so each polygon tests its points vectorized
-        m_points: list[np.ndarray] = []
-        m_items: list[np.ndarray] = []
-        if len(pidx):
-            order = np.argsort(items, kind="stable")
-            items_s = items[order]
-            pidx_s = pidx[order]
-            cut = np.nonzero(np.diff(items_s))[0] + 1
-            for grp_items, grp_pts in zip(np.split(items_s, cut), np.split(pidx_s, cut)):
-                poly = int(grp_items[0])
-                if self.predicate == "dwithin":
-                    inside = self.prep.dwithin_points(poly, lon[grp_pts], lat[grp_pts], self.distance)
-                else:
-                    inside = self.prep.contains_points(poly, lon[grp_pts], lat[grp_pts])
-                sel = grp_pts[inside]
-                if len(sel):
-                    m_points.append(sel)
-                    m_items.append(np.full(len(sel), poly, dtype=np.int64))
-        if m_points:
-            mp = np.concatenate(m_points)
-            mi = np.concatenate(m_items)
-        else:
-            mp = np.empty(0, dtype=np.int64)
-            mi = np.empty(0, dtype=np.int64)
+        mp, mi = self.prep.match(pidx, items, lon, lat, self.distance)
 
         if self.how == "inner":
             out = batch.take(pa.array(mp))
@@ -421,132 +377,54 @@ def partitioned_spatial_join(
     num_partitions: int = 64,
     predicate: str = "intersects",
     distance: float | None = None,
-    h3_res: int | None = None,
-    s2_level: int | None = None,
 ):
     """Large-large PIP join: co-partition both sides by grid cell, hash-join,
     refine exactly. Returns matched point rows + polygon payload columns.
 
-    ``h3_res`` switches the exchange key from lat/lon grid cells to
-    CANONICAL Uber H3 cells at that resolution: each polygon replicates to
-    its complete intersection cover (`geom/h3.py polygon_to_cells
-    mode="cover"` — shape-following, so no dead bbox corners, and
-    equal-area globally, so no polar-cell skew), each point carries its
-    single `latlng_to_cell` id, and the refinement is unchanged. The cover
-    is computed per polygon (one geometry = one unit of work, as in
-    dissolve); intersects-only — use the grid mode for dwithin.
-
-    ``s2_level`` is the same exchange on S2 cells (`geom/s2.py
-    polygon_covering mode="cover"` per polygon, `s2_cell_id` per point) —
-    hierarchical Hilbert keys, near-equal-area. Mutually exclusive with
-    ``h3_res``; intersects-only.
-
-    Shuffle plan: polygons replicate to every cell their bbox overlaps
-    (flat_map-style batch kernel); points carry their single cell id; a
-    native hash ``Dataset.join`` on ``_cell`` co-locates them; a final
-    vectorized PIP refinement drops bbox-only false positives. Each point
+    Shuffle plan: polygons replicate to every ``cell_deg`` lat/lon cell
+    their bbox overlaps (flat_map-style batch kernel); points carry their
+    single cell id; a union-based ``hash_join`` on ``_cell`` co-locates
+    them; a final grouped-by-polygon PIP refinement
+    (``PreparedPolygons.match``) drops bbox-only false positives. Each point
     has exactly one cell, so no pair dedup is needed. Hot cells can be split
     further by salting the cell id on the polygon side and duplicating the
     point-side lookup — not needed while polygon side per cell stays small.
 
+    The grid is the only exchange: H3 and S2 cell exchanges gave the same
+    pairs 8-10x slower, all of it in the per-polygon covers.
+
     ``predicate="dwithin"`` (with ``distance``): polygons replicate to the
     cells of their by-distance-EXPANDED bbox and the refine swaps PIP for
     the inside-or-within-distance test — same exchange plan, same
-    grouped-by-polygon vectorization (`geom/strtree.py points_dwithin_rings`).
+    grouped-by-polygon kernel.
     """
-    from geopolars_ray.geom.array import _expand_ranges
-    from geopolars_ray.geom.strtree import points_dwithin_rings
+    from geopolars_ray.geom.array import _expand_cell_rects
+    from geopolars_ray.stages.hashjoin import hash_join
 
     if predicate not in ("intersects", "dwithin"):
         raise ValueError(f"unsupported partitioned-join predicate {predicate!r}")
     if predicate == "dwithin" and not (distance is not None and distance >= 0):
         raise ValueError("predicate='dwithin' requires distance >= 0")
-    if h3_res is not None and s2_level is not None:
-        raise ValueError("h3_res and s2_level are mutually exclusive")
-    if (h3_res is not None or s2_level is not None) and predicate != "intersects":
-        raise ValueError("cell-id exchanges support predicate='intersects' only")
-    pad = float(distance) if predicate == "dwithin" and distance else 0.0
+    # None is the boundary-exclusive contains; a float is dwithin
+    dist = float(distance) if predicate == "dwithin" else None
+    pad = dist or 0.0
 
     ny = int(np.ceil(180.0 / cell_deg))
 
-    def poly_to_h3_cells(batch: pa.Table) -> pa.Table:
-        from geopolars_ray.geom import h3 as h3_mod
-
-        ga = decode_wkb(batch[geometry_col])
-        rows_l, cells_l = [], []
-        for i in range(len(ga.types)):
-            rings = [r for r in _rings_of(ga, i) if len(r) >= 3]
-            if not rings:
-                continue
-            cov = h3_mod.polygon_to_cells(rings, h3_res, mode="cover")
-            rows_l.append(np.full(len(cov), i, dtype=np.int64))
-            cells_l.append(cov.view(np.int64))
-        if not rows_l:
-            return batch.slice(0, 0).append_column("_cell", pa.array([], pa.int64()))
-        out = batch.take(pa.array(np.concatenate(rows_l)))
-        return out.append_column("_cell", pa.array(np.concatenate(cells_l), pa.int64()))
-
-    def point_h3_cell(batch: pa.Table) -> pa.Table:
-        from geopolars_ray.geom import h3 as h3_mod
-
-        lon = batch[lon_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        lat = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        ok = ~(np.isnan(lon) | np.isnan(lat))
-        cell = h3_mod.latlng_to_cell(np.where(ok, lat, 0.0), np.where(ok, lon, 0.0),
-                                     h3_res).view(np.int64)
-        batch = batch.append_column("_cell", pa.array(np.where(ok, cell, -1), type=pa.int64()))
-        return batch.filter(pa.array(ok))
-
-    def poly_to_s2_cells(batch: pa.Table) -> pa.Table:
-        from geopolars_ray.geom import s2 as s2_mod
-
-        ga = decode_wkb(batch[geometry_col])
-        rows_l, cells_l = [], []
-        for i in range(len(ga.types)):
-            rings = [r for r in _rings_of(ga, i) if len(r) >= 3]
-            if not rings:
-                continue
-            cov = s2_mod.polygon_covering(rings, s2_level, mode="cover")
-            rows_l.append(np.full(len(cov), i, dtype=np.int64))
-            cells_l.append(cov.view(np.int64))
-        if not rows_l:
-            return batch.slice(0, 0).append_column("_cell", pa.array([], pa.int64()))
-        out = batch.take(pa.array(np.concatenate(rows_l)))
-        return out.append_column("_cell", pa.array(np.concatenate(cells_l), pa.int64()))
-
-    def point_s2_cell(batch: pa.Table) -> pa.Table:
-        from geopolars_ray.geom import s2 as s2_mod
-
-        lon = batch[lon_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        lat = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        ok = ~(np.isnan(lon) | np.isnan(lat))
-        cell = s2_mod.s2_cell_id(np.where(ok, lon, 0.0), np.where(ok, lat, 0.0),
-                                 s2_level).view(np.int64)
-        batch = batch.append_column("_cell", pa.array(np.where(ok, cell, -1), type=pa.int64()))
-        return batch.filter(pa.array(ok))
-
     def poly_to_cells(batch: pa.Table) -> pa.Table:
-        # vectorized cell-rectangle expansion: each polygon replicates to
-        # every grid cell its bbox overlaps (no per-polygon Python loop)
+        # each polygon replicates to every grid cell its bbox overlaps;
+        # indices are floored but not clamped, exactly as point_cell's
+        # grid_tile_id, so both sides agree at lon 180 / lat 90
         ga = decode_wkb(batch[geometry_col])
         xmin, ymin, xmax, ymax = K.bounds(ga)
-        if pad:
-            xmin, ymin, xmax, ymax = xmin - pad, ymin - pad, xmax + pad, ymax + pad
-        valid = ~np.isnan(xmin)
-        pidx = np.nonzero(valid)[0]
-        ix0 = np.floor((xmin[pidx] + 180.0) / cell_deg).astype(np.int64)
-        ix1 = np.floor((xmax[pidx] + 180.0) / cell_deg).astype(np.int64)
-        iy0 = np.floor((ymin[pidx] + 90.0) / cell_deg).astype(np.int64)
-        iy1 = np.floor((ymax[pidx] + 90.0) / cell_deg).astype(np.int64)
-        nxv = ix1 - ix0 + 1
-        nyv = iy1 - iy0 + 1
-        pair_v = np.repeat(np.arange(len(pidx), dtype=np.int64), nxv)  # (poly, col)
-        col_ix = _expand_ranges(ix0, ix1 + 1)
-        pair2 = np.repeat(np.arange(len(pair_v), dtype=np.int64), nyv[pair_v])
-        row_iy = _expand_ranges(iy0[pair_v], iy1[pair_v] + 1)
-        rows = pidx[pair_v[pair2]]
-        cells = col_ix[pair2] * ny + row_iy
-        out = batch.take(pa.array(rows))
+        pidx = np.nonzero(~np.isnan(xmin))[0]
+
+        def index(v, lo):
+            return np.floor((v[pidx] + lo) / cell_deg).astype(np.int64)
+
+        item, cells = _expand_cell_rects(index(xmin - pad, 180.0), index(xmax + pad, 180.0),
+                                         index(ymin - pad, 90.0), index(ymax + pad, 90.0), ny)
+        out = batch.take(pa.array(pidx[item]))
         return out.append_column("_cell", pa.array(cells, pa.int64()))
 
     def point_cell(batch: pa.Table) -> pa.Table:
@@ -557,29 +435,26 @@ def partitioned_spatial_join(
         batch = batch.append_column("_cell", pa.array(np.where(ok, cell, -1), type=pa.int64()))
         return batch.filter(pa.array(ok))
 
-    from geopolars_ray.stages.hashjoin import hash_join
+    def with_cell(ds) -> pa.Schema | None:
+        # the mapped side's schema, read off the input: a read_parquet input
+        # answers from file metadata, so no mapped block runs just to be probed
+        base = getattr(ds.schema(), "base_schema", None)
+        return base.append(pa.field("_cell", pa.int64())) if isinstance(base, pa.Schema) else None
 
-    if h3_res is not None:
-        pts = points_ds.map_batches(point_h3_cell, batch_format="pyarrow")
-        polys = polygons_ds.map_batches(poly_to_h3_cells, batch_format="pyarrow")
-    elif s2_level is not None:
-        pts = points_ds.map_batches(point_s2_cell, batch_format="pyarrow")
-        polys = polygons_ds.map_batches(poly_to_s2_cells, batch_format="pyarrow")
-    else:
-        pts = points_ds.map_batches(point_cell, batch_format="pyarrow")
-        polys = polygons_ds.map_batches(poly_to_cells, batch_format="pyarrow")
     # union-based hash_join, NOT Dataset.join: cell ids are sparse keys and
     # Ray 2.49's native hash-shuffle join crashes when a hash partition
     # receives no rows on one side (see stages/hashjoin.py)
     joined = hash_join(
-        pts, polys, on=["_cell"], how="inner", num_partitions=num_partitions, r_suffix="_r"
+        points_ds.map_batches(point_cell, batch_format="pyarrow"),
+        polygons_ds.map_batches(poly_to_cells, batch_format="pyarrow"),
+        on=["_cell"], how="inner", num_partitions=num_partitions, r_suffix="_r",
+        left_schema=with_cell(points_ds), right_schema=with_cell(polygons_ds),
     )
 
     def refine(batch: pa.Table) -> pa.Table:
         # group candidate rows by polygon identity (exact, via Arrow
         # dictionary-encode of the WKB blob) so each distinct polygon tests
-        # all of its candidate points in ONE vectorized PIP call — the same
-        # pattern as BroadcastPIPJoin; no per-row Python
+        # all of its candidate points in ONE vectorized call
         import pyarrow.compute as pc
 
         # the polygon geometry is suffixed by hash_join when the POINT side
@@ -591,23 +466,12 @@ def partitioned_spatial_join(
             return batch.drop_columns([c for c in ("_cell", gcol) if c in batch.column_names])
         enc = pc.dictionary_encode(batch[gcol].combine_chunks())
         codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        uga = decode_wkb(enc.dictionary)
+        prep = PreparedPolygons.from_geometry_array(decode_wkb(enc.dictionary))
         lon = batch[lon_col].to_numpy(zero_copy_only=False).astype(np.float64)
         lat = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        rows, _ = prep.match(np.arange(len(codes)), codes, lon, lat, dist)
         keep = np.zeros(len(batch), dtype=bool)
-        order = np.argsort(codes, kind="stable")
-        codes_s = codes[order]
-        cut = np.nonzero(np.diff(codes_s))[0] + 1
-        for grp_rows in np.split(order, cut):
-            poly = int(codes[grp_rows[0]])
-            if predicate == "dwithin":
-                keep[grp_rows] = points_dwithin_rings(
-                    lon[grp_rows], lat[grp_rows], _rings_of(uga, poly), pad
-                )
-            else:
-                keep[grp_rows] = points_in_polygon_single(
-                    lon[grp_rows], lat[grp_rows], _rings_of(uga, poly)
-                )
+        keep[rows] = True
         out = batch.filter(pa.array(keep))
         return out.drop_columns([c for c in ("_cell", gcol) if c in out.column_names])
 

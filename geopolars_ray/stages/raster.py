@@ -234,10 +234,10 @@ class _RasterZonalPartials:
     """Actor stage: raster-tile batches -> per-zone (n, sum, min, max) partials.
 
     Prepared zones + grid index are built once per actor from a broadcast
-    object ref (``BroadcastPIPJoin`` pattern, stages/join.py:276).  Each batch
+    object ref (``BroadcastPIPJoin`` pattern, stages/join.py).  Each batch
     expands its tiles' grids to cell centers VECTORIZED (one arange per batch,
-    not per tile), PIP-refines grouped by zone, and emits one partial row per
-    zone — the dense rasters stay inside the actor.
+    not per tile), PIP-refines grouped by zone (``PreparedPolygons.match``),
+    and emits one partial row per zone — the dense rasters stay inside the actor.
     """
 
     def __init__(self, zones, zone_id_col, tile_deg, resolution, skip_empty):
@@ -273,20 +273,8 @@ class _RasterZonalPartials:
             keep = val != 0.0
             lon, lat, val = lon[keep], lat[keep], val[keep]
         pidx, items = self.grid.candidates_for_points(lon, lat)
-        zid_idx: list[np.ndarray] = []
-        zval: list[np.ndarray] = []
-        if len(pidx):
-            order = np.argsort(items, kind="stable")
-            items_s, pidx_s = items[order], pidx[order]
-            cut = np.nonzero(np.diff(items_s))[0] + 1
-            for grp_items, grp_pts in zip(np.split(items_s, cut), np.split(pidx_s, cut)):
-                poly = int(grp_items[0])
-                inside = self.prep.contains_points(poly, lon[grp_pts], lat[grp_pts])
-                sel = grp_pts[inside]
-                if len(sel):
-                    zid_idx.append(np.full(len(sel), poly, dtype=np.int64))
-                    zval.append(val[sel])
-        if not zid_idx:
+        pts, zi = self.prep.match(pidx, items, lon, lat)
+        if not len(zi):
             return pa.table({
                 self.zone_id_col: self.zone_ids.slice(0, 0),
                 "_n": pa.array([], pa.int64()),
@@ -294,8 +282,7 @@ class _RasterZonalPartials:
                 "_min": pa.array([], pa.float64()),
                 "_max": pa.array([], pa.float64()),
             })
-        zi = np.concatenate(zid_idx)
-        zv = np.concatenate(zval)
+        zv = val[pts]
         uniq, inv = np.unique(zi, return_inverse=True)
         n = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
         s = np.bincount(inv, weights=zv, minlength=len(uniq))

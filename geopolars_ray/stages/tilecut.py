@@ -20,7 +20,7 @@ import pyarrow as pa
 
 from geopolars_ray.geom import decode_wkb, encode_wkb
 from geopolars_ray.geom import kernels as K
-from geopolars_ray.geom.array import _expand_ranges
+from geopolars_ray.geom.array import _expand_cell_rects
 from geopolars_ray.geom.clip import clip_by_rect
 
 
@@ -50,16 +50,9 @@ def cut_to_tiles(
         def index(v, lo, n):
             return np.minimum(np.floor((v[pidx] - lo) / tile_deg).astype(np.int64), n - 1)
 
-        ix0, ix1 = index(xmin, -180.0, nx), index(xmax, -180.0, nx)
-        iy0, iy1 = index(ymin, -90.0, ny), index(ymax, -90.0, ny)
-        nxv = ix1 - ix0 + 1
-        nyv = iy1 - iy0 + 1
-        pair_v = np.repeat(np.arange(len(pidx), dtype=np.int64), nxv)
-        col_ix = _expand_ranges(ix0, ix1 + 1)
-        pair2 = np.repeat(np.arange(len(pair_v), dtype=np.int64), nyv[pair_v])
-        row_iy = _expand_ranges(iy0[pair_v], iy1[pair_v] + 1)
-        rows = pidx[pair_v[pair2]]
-        tiles = col_ix[pair2] * ny + row_iy
+        item, tiles = _expand_cell_rects(index(xmin, -180.0, nx), index(xmax, -180.0, nx),
+                                         index(ymin, -90.0, ny), index(ymax, -90.0, ny), ny)
+        rows = pidx[item]
         if not len(rows):
             out = batch.slice(0, 0)
             return out.append_column("tile", pa.array([], pa.int64()))

@@ -245,9 +245,9 @@ def test_total_bounds(ray_session):
 
 
 def test_sjoin_partitioned_api(ray_session):
-    """GeoDataset.sjoin_partitioned: grid and canonical-H3 exchange modes
-    both reproduce the broadcast join's match set through the public API,
-    accepting the polygon side as Table / Dataset / GeoDataset."""
+    """GeoDataset.sjoin_partitioned reproduces the broadcast join's match
+    set through the public API, accepting the polygon side as Table /
+    Dataset / GeoDataset."""
     import ray
     from geopolars_ray.api import GeoDataset
 
@@ -273,8 +273,7 @@ def test_sjoin_partitioned_api(ray_session):
     grid = gdf.sjoin_partitioned(admin, num_partitions=4).to_pandas()
     assert set(zip(grid["pid"].astype(int), grid["admin_id"])) == want_set
 
-    h3j = gdf.sjoin_partitioned(
-        GeoDataset(ray.data.from_arrow(admin)), num_partitions=4, h3_res=3)
-    assert h3j.geometry_col is None  # attribute table, loudly no geometry
-    h3df = h3j.to_pandas()
-    assert set(zip(h3df["pid"].astype(int), h3df["admin_id"])) == want_set
+    gj = gdf.sjoin_partitioned(GeoDataset(ray.data.from_arrow(admin)), num_partitions=4)
+    assert gj.geometry_col is None  # attribute table, loudly no geometry
+    gjdf = gj.to_pandas()
+    assert set(zip(gjdf["pid"].astype(int), gjdf["admin_id"])) == want_set

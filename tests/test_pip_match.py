@@ -1,0 +1,160 @@
+"""The grouped point-in-polygon refine (``PreparedPolygons.match``) and the
+box-to-cells expansion shared by the grid index and the grid exchanges."""
+
+import numpy as np
+import pytest
+
+from geopolars_ray.geom import GeometryArray, decode_wkb
+from geopolars_ray.geom import kernels as K
+from geopolars_ray.geom.array import _expand_cell_rects
+from geopolars_ray.geom.strtree import (
+    GridIndex,
+    PreparedPolygons,
+    points_dwithin_rings,
+    points_in_polygon_single,
+)
+from geopolars_ray.sources.pages import admin_polygons_table
+
+SQUARE_WITH_HOLE = ("polygon", [
+    [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0), (0.0, 0.0)],
+    [(4.0, 4.0), (6.0, 4.0), (6.0, 6.0), (4.0, 6.0), (4.0, 4.0)],
+])
+TWO_PARTS = ("multipolygon", [
+    [[(20.0, 0.0), (24.0, 0.0), (24.0, 4.0), (20.0, 4.0), (20.0, 0.0)]],
+    [[(30.0, 0.0), (34.0, 0.0), (32.0, 3.0), (30.0, 0.0)]],
+])
+DIAMOND = ("polygon", [[(5.0, 12.0), (8.0, 15.0), (5.0, 18.0), (2.0, 15.0), (5.0, 12.0)]])
+
+
+def _prep():
+    return PreparedPolygons.from_geometry_array(
+        GeometryArray.from_pylist([SQUARE_WITH_HOLE, TWO_PARTS, DIAMOND]))
+
+
+def _points():
+    fixed = [
+        (1.0, 1.0), (5.0, 5.0),      # inside; inside the hole
+        (0.0, 5.0), (4.0, 5.0),      # on the shell; on the hole
+        (22.0, 2.0), (32.0, 1.0),    # inside each part
+        (27.0, 2.0), (32.0, 3.0),    # between the parts; on a vertex
+        (5.0, 15.0), (8.0, 15.0),    # inside the diamond; on its vertex
+        (10.5, 5.0), (-0.5, 5.0),    # just outside the square
+    ]
+    rng = np.random.default_rng(4)
+    rand = np.column_stack([rng.uniform(-2, 36, 200), rng.uniform(-2, 20, 200)])
+    xy = np.vstack([np.array(fixed), rand])
+    return xy[:, 0], xy[:, 1]
+
+
+def _per_pair(prep, point_idx, poly_idx, px, py, distance):
+    """The reference: one kernel call per candidate pair, polygon-major."""
+    got_pts, got_polys = [], []
+    for k in np.argsort(poly_idx, kind="stable"):
+        p, j = int(point_idx[k]), int(poly_idx[k])
+        rings = prep.rings_of(j)
+        if distance is None:
+            hit = points_in_polygon_single(px[p:p + 1], py[p:p + 1], rings)[0]
+        else:
+            hit = points_dwithin_rings(px[p:p + 1], py[p:p + 1], rings, distance)[0]
+        if hit:
+            got_pts.append(p)
+            got_polys.append(j)
+    return np.array(got_pts, np.int64), np.array(got_polys, np.int64)
+
+
+@pytest.mark.parametrize("distance", [None, 0.0, 0.75])
+def test_match_equals_the_per_pair_loop_in_order(distance):
+    prep = _prep()
+    px, py = _points()
+    rng = np.random.default_rng(9)
+    # every point against every polygon, shuffled, plus repeated pairs
+    pi, qi = np.meshgrid(np.arange(len(px)), np.arange(prep.n), indexing="ij")
+    pairs = np.column_stack([pi.ravel(), qi.ravel()])
+    pairs = np.vstack([pairs, pairs[rng.choice(len(pairs), 50)]])
+    pairs = pairs[rng.permutation(len(pairs))]
+    got = prep.match(pairs[:, 0], pairs[:, 1], px, py, distance)
+    want = _per_pair(prep, pairs[:, 0], pairs[:, 1], px, py, distance)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert len(got[0]) > 0
+    assert (np.diff(got[1]) >= 0).all()
+
+
+def test_match_boundary_contains_vs_dwithin_zero():
+    """None is the boundary-exclusive contains; 0 is dwithin, whose
+    boundary points match."""
+    prep = _prep()
+    px = np.array([1.0, 0.0, 4.0, 5.0, 32.0])
+    py = np.array([1.0, 5.0, 5.0, 5.0, 3.0])
+    pts = np.array([0, 1, 2, 3, 4])
+    polys = np.array([0, 0, 0, 0, 1])
+    inside, _ = prep.match(pts, polys, px, py)
+    assert inside.tolist() == [0]
+    within0, _ = prep.match(pts, polys, px, py, 0.0)
+    assert within0.tolist() == [0, 1, 2, 4]
+
+
+def test_match_empty_candidates():
+    prep = _prep()
+    px, py = _points()
+    for distance in (None, 0.0):
+        pts, polys = prep.match(np.empty(0, np.int64), np.empty(0, np.int64), px, py, distance)
+        assert pts.dtype == np.int64 and polys.dtype == np.int64
+        assert len(pts) == len(polys) == 0
+
+
+def _grid_by_loop(boxes):
+    """The reference: one Python loop iteration per box over its cell
+    rectangle, giving (cell_offsets, cell_items)."""
+    g = GridIndex(boxes)  # for its extent and cell size
+    vb = boxes[~np.isnan(boxes).any(axis=1)]
+    ids = np.nonzero(~np.isnan(boxes).any(axis=1))[0]
+    cx0 = np.clip(((vb[:, 0] - g.x0) / g.dx).astype(np.int64), 0, g.nx - 1)
+    cx1 = np.clip(((vb[:, 2] - g.x0) / g.dx).astype(np.int64), 0, g.nx - 1)
+    cy0 = np.clip(((vb[:, 1] - g.y0) / g.dy).astype(np.int64), 0, g.ny - 1)
+    cy1 = np.clip(((vb[:, 3] - g.y0) / g.dy).astype(np.int64), 0, g.ny - 1)
+    cells, items = [], []
+    for i in range(len(vb)):
+        xs = np.arange(cx0[i], cx1[i] + 1)
+        ys = np.arange(cy0[i], cy1[i] + 1)
+        c = (xs[:, None] * g.ny + ys[None, :]).ravel()
+        cells.append(c)
+        items.append(np.full(len(c), ids[i], dtype=np.int64))
+    cell, item = np.concatenate(cells), np.concatenate(items)
+    order = np.argsort(cell, kind="stable")
+    offsets = np.zeros(g.nx * g.ny + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell, minlength=g.nx * g.ny), out=offsets[1:])
+    return g, offsets, item[order]
+
+
+def _admin_boxes():
+    ga = decode_wkb(admin_polygons_table()["geometry"])
+    return np.column_stack(K.bounds(ga))
+
+
+def _random_boxes():
+    rng = np.random.default_rng(31)
+    x0 = rng.uniform(-180, 170, 400)
+    y0 = rng.uniform(-90, 80, 400)
+    w = rng.exponential(4.0, 400)
+    h = rng.exponential(4.0, 400)
+    boxes = np.column_stack([x0, y0, x0 + w, y0 + h])
+    boxes[::37] = np.nan  # missing geometries
+    boxes[5] = [10.0, 10.0, 10.0, 10.0]  # a point-sized box
+    return boxes
+
+
+@pytest.mark.parametrize("boxes", [_admin_boxes(), _random_boxes()], ids=["admin", "random"])
+def test_grid_index_cells_equal_the_per_item_loop(boxes):
+    g, offsets, items = _grid_by_loop(boxes)
+    np.testing.assert_array_equal(g.cell_offsets, offsets)
+    np.testing.assert_array_equal(g.cell_items, items)
+
+
+def test_expand_cell_rects_order_and_empty_ranges():
+    item, cell = _expand_cell_rects(np.array([0, 3, 5]), np.array([1, 2, 5]),
+                                    np.array([0, 0, 7]), np.array([1, 0, 6]), 10)
+    # item 0: columns 0..1 x rows 0..1, column-major; item 1 has no
+    # columns; item 2 has no rows
+    assert item.tolist() == [0, 0, 0, 0]
+    assert cell.tolist() == [0, 1, 10, 11]

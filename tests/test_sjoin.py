@@ -148,30 +148,63 @@ def test_broadcast_join_dataset(ray_session):
     assert left.count() == n
 
 
-def test_partitioned_join_matches_broadcast(ray_session):
-    import ray
-    from geopolars_ray.stages.join import broadcast_spatial_join, partitioned_spatial_join
-
-    rng = np.random.default_rng(12)
-    n = 5000
-    lon = rng.uniform(-40, 40, n)
-    lat = rng.uniform(-40, 40, n)
+def _diamond_join_inputs(seed, n, lon_span, lat_span, k, c_lon, c_lat, r_span):
+    rng = np.random.default_rng(seed)
+    lon = rng.uniform(-lon_span, lon_span, n)
+    lat = rng.uniform(-lat_span, lat_span, n)
     pts = pa.table({"pid": pa.array(np.arange(n)), "lon": pa.array(lon), "lat": pa.array(lat)})
-    polys = []
-    ids = []
-    for k in range(25):
-        cx, cy = rng.uniform(-35, 35, 2)
-        r = rng.uniform(1, 4)
+    polys, ids = [], []
+    for j in range(k):
+        cx, cy = rng.uniform(-c_lon, c_lon), rng.uniform(-c_lat, c_lat)
+        r = rng.uniform(*r_span)
         polys.append(("polygon", [[(cx - r, cy), (cx, cy - r), (cx + r, cy), (cx, cy + r), (cx - r, cy)]]))
-        ids.append(f"p{k}")
+        ids.append(f"p{j}")
     admin = pa.table(
         {"admin_id": pa.array(ids), "geometry": encode_wkb(GeometryArray.from_pylist(polys))}
     )
-    b = broadcast_spatial_join(ray.data.from_arrow(pts), admin, how="inner", concurrency=2).to_pandas()
-    p = partitioned_spatial_join(
-        ray.data.from_arrow(pts), ray.data.from_arrow(admin), cell_deg=10.0, num_partitions=8
-    ).to_pandas()
-    assert set(zip(b["pid"].astype(int), b["admin_id"])) == set(zip(p["pid"].astype(int), p["admin_id"]))
+    return pts, admin
+
+
+def test_partitioned_join_matches_broadcast(ray_session):
+    """The grid exchange gives the broadcast join's match set, at mid
+    latitudes and with diamonds up to lat +-75, where lat/lon cells are
+    most distorted."""
+    import ray
+    from geopolars_ray.stages.join import broadcast_spatial_join, partitioned_spatial_join
+
+    inputs = [
+        (_diamond_join_inputs(12, 5000, 40, 40, 25, 35, 35, (1, 4)), dict(cell_deg=10.0)),
+        (_diamond_join_inputs(21, 4000, 60, 75, 20, 55, 70, (1, 5)), dict()),
+    ]
+    for (pts, admin), kw in inputs:
+        b = broadcast_spatial_join(ray.data.from_arrow(pts), admin, how="inner", concurrency=2).to_pandas()
+        p = partitioned_spatial_join(
+            ray.data.from_arrow(pts), ray.data.from_arrow(admin), num_partitions=8, **kw
+        ).to_pandas()
+        got_b = set(zip(b["pid"].astype(int), b["admin_id"]))
+        assert got_b == set(zip(p["pid"].astype(int), p["admin_id"])) and len(got_b) > 0
+
+
+def test_identical_polygons_with_different_ids_both_match(ray_session):
+    """Two polygon rows with the same WKB and different ids each match
+    every point inside: the partitioned refine groups rows by WKB
+    dictionary code, and both rows share one code."""
+    import ray
+    from geopolars_ray.stages.join import broadcast_spatial_join, partitioned_spatial_join
+
+    sq = ("polygon", [[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (0.0, 0.0)]])
+    other = ("polygon", [[(5.0, 5.0), (8.0, 5.0), (8.0, 8.0), (5.0, 8.0), (5.0, 5.0)]])
+    admin = pa.table({"admin_id": pa.array(["a", "b", "c"]),
+                      "geometry": encode_wkb(GeometryArray.from_pylist([sq, other, sq]))})
+    lon = np.array([1.0, 2.0, 6.0, 9.0, 4.0])
+    lat = np.array([1.0, 3.0, 6.0, 9.0, 2.0])  # (4, 2) is on the square's edge
+    pts = pa.table({"pid": pa.array(np.arange(5)), "lon": pa.array(lon), "lat": pa.array(lat)})
+    want = [(0, "a"), (0, "c"), (1, "a"), (1, "c"), (2, "b")]
+    b = broadcast_spatial_join(ray.data.from_arrow(pts), admin, how="inner", concurrency=1).to_pandas()
+    p = partitioned_spatial_join(ray.data.from_arrow(pts), ray.data.from_arrow(admin),
+                                 cell_deg=2.0, num_partitions=4).to_pandas()
+    assert sorted(zip(b["pid"].astype(int), b["admin_id"])) == want
+    assert sorted(zip(p["pid"].astype(int), p["admin_id"])) == want
 
 
 def test_contains_rejects_proper_crossing():
@@ -342,41 +375,6 @@ def test_partitioned_join_dwithin_matches_broadcast(ray_session):
     assert got_b == got_p and len(got_b) > 0
 
 
-def test_partitioned_join_h3_exchange_matches_grid(ray_session):
-    """h3_res co-shuffle (canonical H3 covers on the polygon side, one
-    latlng_to_cell id per point) must produce the exact same match set as
-    the grid exchange and the broadcast join — including polygons far from
-    the equator where grid cells distort but H3 cells stay equal-area."""
-    import ray
-    from geopolars_ray.stages.join import broadcast_spatial_join, partitioned_spatial_join
-
-    rng = np.random.default_rng(21)
-    n = 4000
-    lon = rng.uniform(-60, 60, n)
-    lat = rng.uniform(-75, 75, n)
-    pts = pa.table({"pid": pa.array(np.arange(n)), "lon": pa.array(lon), "lat": pa.array(lat)})
-    polys, ids = [], []
-    for k in range(20):
-        cx = rng.uniform(-55, 55)
-        cy = rng.uniform(-70, 70)  # include high-latitude diamonds
-        r = rng.uniform(1, 5)
-        polys.append(("polygon", [[(cx - r, cy), (cx, cy - r), (cx + r, cy), (cx, cy + r), (cx - r, cy)]]))
-        ids.append(f"p{k}")
-    admin = pa.table(
-        {"admin_id": pa.array(ids), "geometry": encode_wkb(GeometryArray.from_pylist(polys))}
-    )
-    b = broadcast_spatial_join(ray.data.from_arrow(pts), admin, how="inner", concurrency=2).to_pandas()
-    h = partitioned_spatial_join(
-        ray.data.from_arrow(pts), ray.data.from_arrow(admin), num_partitions=8, h3_res=3
-    ).to_pandas()
-    assert set(zip(b["pid"].astype(int), b["admin_id"])) == set(zip(h["pid"].astype(int), h["admin_id"]))
-    # dwithin stays grid-only, loudly
-    import pytest as _pytest
-    with _pytest.raises(ValueError, match="intersects"):
-        partitioned_spatial_join(ray.data.from_arrow(pts), ray.data.from_arrow(admin),
-                                 predicate="dwithin", distance=1.0, h3_res=3)
-
-
 def test_partitioned_join_point_side_geometry_collision(ray_session):
     """A point side that carries its own 'geometry' column (e.g. built by
     from_xy) must not poison the refine: hash_join suffixes the polygon
@@ -402,39 +400,3 @@ def test_partitioned_join_point_side_geometry_collision(ray_session):
     assert set(got["pid"].astype(int)) == want and len(want) > 0
     # the point side's own geometry column survives untouched
     assert "geometry" in got.columns
-
-
-def test_partitioned_join_s2_exchange_matches_grid(ray_session):
-    """s2_level co-shuffle (S2 polygon_covering covers on the polygon side,
-    one s2_cell_id per point) must produce the exact same match set as the
-    broadcast join — same contract as the H3 exchange."""
-    import ray
-    from geopolars_ray.stages.join import broadcast_spatial_join, partitioned_spatial_join
-
-    rng = np.random.default_rng(23)
-    n = 4000
-    lon = rng.uniform(-60, 60, n)
-    lat = rng.uniform(-75, 75, n)
-    pts = pa.table({"pid": pa.array(np.arange(n)), "lon": pa.array(lon), "lat": pa.array(lat)})
-    polys, ids = [], []
-    for k in range(20):
-        cx = rng.uniform(-55, 55)
-        cy = rng.uniform(-70, 70)
-        r = rng.uniform(1, 5)
-        polys.append(("polygon", [[(cx - r, cy), (cx, cy - r), (cx + r, cy), (cx, cy + r), (cx - r, cy)]]))
-        ids.append(f"p{k}")
-    admin = pa.table(
-        {"admin_id": pa.array(ids), "geometry": encode_wkb(GeometryArray.from_pylist(polys))}
-    )
-    b = broadcast_spatial_join(ray.data.from_arrow(pts), admin, how="inner", concurrency=2).to_pandas()
-    s = partitioned_spatial_join(
-        ray.data.from_arrow(pts), ray.data.from_arrow(admin), num_partitions=8, s2_level=6
-    ).to_pandas()
-    assert set(zip(b["pid"].astype(int), b["admin_id"])) == set(zip(s["pid"].astype(int), s["admin_id"]))
-    import pytest as _pytest
-    with _pytest.raises(ValueError, match="mutually exclusive"):
-        partitioned_spatial_join(ray.data.from_arrow(pts), ray.data.from_arrow(admin),
-                                 h3_res=3, s2_level=6)
-    with _pytest.raises(ValueError, match="intersects"):
-        partitioned_spatial_join(ray.data.from_arrow(pts), ray.data.from_arrow(admin),
-                                 predicate="dwithin", distance=1.0, s2_level=6)

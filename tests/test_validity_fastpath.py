@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geopolars_ray.geom import GeometryArray
 from geopolars_ray.geom import validity as V
@@ -111,24 +111,45 @@ def _assert_matches_exact(ga: GeometryArray):
 
 def _assert_matches_exact_or_both_fail(ga: GeometryArray):
     """As above, but a near-degenerate ring the prefilter rejected may make
-    the exact sweep run out of its event budget; then the fast entry
-    points must fail the same way."""
+    an exact sweep run out of its event budget; then the fast entry point
+    must fail the same way. Each entry point is held to its own exact path:
+    the exact reason can stop at a ring check before any sweep while the
+    exact make_valid's sweep runs out."""
     try:
-        exact = [_exact_reason(ga, 0)], _exact_make_valid(ga)
+        exact_reason = [_exact_reason(ga, 0)]
     except SweepBudgetError:
         with pytest.raises(SweepBudgetError):
             V.is_valid_reason(ga)
+    else:
+        assert V.is_valid_reason(ga) == exact_reason
+    try:
+        exact = _exact_make_valid(ga)
+    except SweepBudgetError:
         with pytest.raises(SweepBudgetError):
             make_valid_arrays(ga)
-        return
-    assert V.is_valid_reason(ga) == exact[0]
-    fast = make_valid_arrays(ga)
-    assert fast.to_pylist() == exact[1].to_pylist()
-    assert _same_array(fast, exact[1])
+    else:
+        fast = make_valid_arrays(ga)
+        assert fast.to_pylist() == exact.to_pylist()
+        assert _same_array(fast, exact)
+
+
+# a ulp twin whose exact reason is a ring self-intersection found before
+# any sweep, while the exact make_valid's sweep runs out of its budget
+_ULP_TWIN_REASON_WITHOUT_SWEEP = ("ulp_twin", [
+    (1.0, 0.0), (0.9999980926519735, 0.001953123758236804),
+    (0.499996185307585, 0.0019531200329500583), (0.03536860083385146, 0.4987474933020272),
+    (0.24996948304275166, 0.003906091056220843), (0.9995117584851364, 0.03124491398532608),
+    (0.9980475107000991, 0.0624593178423802), (0.992197667229329, 0.12467473338522769),
+    (0.48445621085532237, 0.12370197962726147), (0.03536860083385145, 0.4987474933020272),
+    (-0.17824605564949209, 0.9839859468739369), (-0.29953350618957414, 0.9540857816096938),
+    (-0.4161468365471424, 0.9092974268256817), (-0.6281736227227391, 0.7780731968879212),
+    (-0.8011436155469337, 0.5984721441039565), (-0.9899924966004454, 0.1411200080598672),
+    (-0.6536436208636119, -0.7568024953079282)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(star_rings())
+@example(_ULP_TWIN_REASON_WITHOUT_SWEEP)
 def test_prefilter_pass_implies_exact_result(case):
     variant, ring = case
     ga = GeometryArray.from_pylist([_poly(ring)])
@@ -230,13 +251,14 @@ def test_each_rejection_rule_takes_the_exact_path(name):
 
 
 def test_non_finite_ring_is_rejected_and_the_sweep_fails_loudly():
-    """A NaN vertex is left to the exact path, whose sweep never finished
-    on it before the event budget; now it raises within the budget."""
+    """A NaN vertex is left to the exact path. ``is_valid_reason`` answers
+    GEOS's "Invalid Coordinate" for the row before any sweep; ``make_valid``
+    still runs the sweep, which raises within the event budget."""
     ga = GeometryArray.from_pylist([_poly([(0.0, 0.0), (4.0, 0.0), (np.nan, 4.0), (0.0, 4.0)]),
                                     _poly(SQUARE)])
     assert V.simple_ring_mask(ga).tolist() == [False, True]
-    with pytest.raises(SweepBudgetError, match="4 segments"):
-        V.is_valid_reason(ga)
+    assert V.is_valid_reason(ga) == ["Invalid Coordinate[nan 4]", V.VALID]
+    assert V.is_valid(ga).tolist() == [False, True]
     with pytest.raises(SweepBudgetError, match="4 segments"):
         make_valid_arrays(ga)
 
