@@ -25,6 +25,7 @@ depends on (boundary-touching points do NOT match —
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,12 +121,46 @@ def points_dwithin_rings(px: np.ndarray, py: np.ndarray, rings: list[np.ndarray]
     return hit
 
 
+# pair x edge elements one refine block holds: bounds the temporaries of
+# PreparedPolygons.match (about ten float64 / bool arrays of this length)
+_PAIR_EDGE_BLOCK = 1 << 20
+# the bbox prefilter pads each box by this share of its largest coordinate
+# (plus the distance): far above the few-ulp rounding of the exact tests,
+# so it can never drop a pair the exact test keeps
+_BBOX_SLACK = 1e-9
+
+
+def _pair_blocks(starts: np.ndarray, stops: np.ndarray):
+    """Pairs with a non-empty [start, stop) edge range, in blocks of at most
+    ``_PAIR_EDGE_BLOCK`` pair x edge elements (a larger single pair gets a
+    block of its own).
+
+    Yields ``(pairs, counts, edges, heads)``: the pair ids, their edge
+    counts, the edge ids pair-major, and each pair's first element, so
+    ``ufunc.reduceat(values, heads)`` reduces per pair."""
+    counts = stops - starts
+    nz = np.flatnonzero(counts > 0)
+    if not len(nz):
+        return
+    cum = np.cumsum(counts[nz])
+    cuts = np.searchsorted(cum, np.arange(_PAIR_EDGE_BLOCK, int(cum[-1]), _PAIR_EDGE_BLOCK), side="right")
+    for lo, hi in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(nz)].tolist()):
+        if lo == hi:
+            continue
+        pairs = nz[lo:hi]
+        c = counts[pairs]
+        heads = np.zeros(len(c), dtype=np.int64)
+        np.cumsum(c[:-1], out=heads[1:])
+        yield pairs, c, _expand_ranges(starts[pairs], stops[pairs]), heads
+
+
 @dataclass
 class PreparedPolygons:
     """Pickle-friendly polygon set for repeated containment tests.
 
     Built once (driver or actor ``__init__``) from a polygon GeometryArray;
-    per-polygon ring slices are stored as flat arrays.
+    per-polygon ring slices are stored as flat arrays. The edge tables
+    ``match`` reads are built on first use and kept with the object.
     """
 
     n: int
@@ -155,35 +190,133 @@ class PreparedPolygons:
     def contains_points(self, i: int, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         return points_in_polygon_single(px, py, self.rings_of(i))
 
+    def _rings(self, min_len: int):
+        """(polygon, start, stop) of every ring with >= ``min_len`` coords,
+        in polygon order."""
+        rpo = self.rings_per_poly_offsets
+        ring = _expand_ranges(rpo[:-1], rpo[1:])
+        poly = np.repeat(np.arange(self.n, dtype=np.int64), rpo[1:] - rpo[:-1])
+        start, stop = self.ring_offsets[ring], self.ring_offsets[ring + 1]
+        ok = stop - start >= min_len
+        return poly[ok], start[ok], stop[ok]
+
+    def _edge_offsets(self, poly: np.ndarray, per_ring: np.ndarray) -> np.ndarray:
+        off = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(poly, weights=per_ring, minlength=self.n).astype(np.int64), out=off[1:])
+        return off
+
+    @cached_property
+    def _pip_edges(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The edges ``points_in_polygon_single`` tests, CSR by polygon:
+        rings of >= 3 coords, an open ring closed by an extra last edge,
+        with the per-edge terms of ``_crossings_and_boundary``."""
+        poly, start, stop = self._rings(3)
+        c = self.ring_coords
+        is_open = ~(c[start] == c[stop - 1]).all(axis=1)
+        n_edges = stop - start - 1 + is_open
+        a = _expand_ranges(start, start + n_edges)
+        b = a + 1
+        wrap = b == np.repeat(stop, n_edges)
+        b[wrap] = np.repeat(start, n_edges)[wrap]
+        x1, y1, x2, y2 = c[a, 0], c[a, 1], c[b, 0], c[b, 1]
+        edges = dict(
+            x1=x1, y1=y1, y2=y2, dx=x2 - x1, dy=y2 - y1,
+            den=np.where(y2 == y1, 1.0, y2 - y1),
+            xlo=np.minimum(x1, x2), xhi=np.maximum(x1, x2),
+            ylo=np.minimum(y1, y2), yhi=np.maximum(y1, y2),
+        )
+        return self._edge_offsets(poly, n_edges), edges
+
+    @cached_property
+    def _dwithin_segments(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The segments ``points_dwithin_rings`` measures, CSR by polygon:
+        rings of >= 2 coords, open rings left open."""
+        poly, start, stop = self._rings(2)
+        c = self.ring_coords
+        a = _expand_ranges(start, stop - 1)
+        ax, ay = c[a, 0], c[a, 1]
+        dvx, dvy = c[a + 1, 0] - ax, c[a + 1, 1] - ay
+        L2 = dvx**2 + dvy**2
+        segs = dict(ax=ax, ay=ay, dvx=dvx, dvy=dvy, den=np.where(L2 == 0, 1, L2))
+        return self._edge_offsets(poly, stop - start - 1), segs
+
+    def _contains(self, x: np.ndarray, y: np.ndarray, poly: np.ndarray) -> np.ndarray:
+        """Boundary-exclusive containment of pair k's point ``(x[k], y[k])``
+        in polygon ``poly[k]``: ``points_in_polygon_single`` per pair, with
+        its per-element arithmetic over the (pair x edge) arrays."""
+        off, e = self._pip_edges
+        out = np.zeros(len(poly), dtype=bool)
+        for pairs, counts, k, heads in _pair_blocks(off[poly], off[poly + 1]):
+            X = np.repeat(x[pairs], counts)
+            Y = np.repeat(y[pairs], counts)
+            y1 = e["y1"][k]
+            dy_p = Y - y1
+            # crossing test (half-open rule avoids double counting at vertices)
+            cond = (y1 > Y) != (e["y2"][k] > Y)
+            x1 = e["x1"][k]
+            dx = e["dx"][k]
+            x_at = dx * dy_p / e["den"][k] + x1
+            parity = np.logical_xor.reduceat(cond & (X < x_at), heads)
+            # on-boundary test: colinear and within the segment bbox
+            w = np.flatnonzero((X >= e["xlo"][k]) & (X <= e["xhi"][k])
+                               & (Y >= e["ylo"][k]) & (Y <= e["yhi"][k]))
+            on = np.zeros(len(k), dtype=bool)
+            on[w] = dx[w] * dy_p[w] - e["dy"][k[w]] * (X[w] - x1[w]) == 0.0
+            out[pairs] = parity & ~np.logical_or.reduceat(on, heads)
+        return out
+
+    def _near(self, x: np.ndarray, y: np.ndarray, poly: np.ndarray, distance: float) -> np.ndarray:
+        """Whether pair k's point lies within ``distance`` of a boundary
+        segment of polygon ``poly[k]``: the (points x segments) block of
+        ``points_dwithin_rings`` per pair, same per-element arithmetic."""
+        off, s = self._dwithin_segments
+        out = np.zeros(len(poly), dtype=bool)
+        for pairs, counts, k, heads in _pair_blocks(off[poly], off[poly + 1]):
+            X = np.repeat(x[pairs], counts)
+            Y = np.repeat(y[pairs], counts)
+            ax, ay, dvx, dvy = s["ax"][k], s["ay"][k], s["dvx"][k], s["dvy"][k]
+            t = np.clip(((X - ax) * dvx + (Y - ay) * dvy) / s["den"][k], 0.0, 1.0)
+            dd2 = (X - (ax + t * dvx)) ** 2 + (Y - (ay + t * dvy)) ** 2
+            out[pairs] = np.minimum.reduceat(dd2, heads) <= distance * distance
+        return out
+
     def match(self, point_idx: np.ndarray, poly_idx: np.ndarray, px: np.ndarray, py: np.ndarray,
               distance: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Refine candidate (point, polygon) pairs: the matching pairs as
         ``(points, polys)``.
 
         ``px[point_idx[k]], py[point_idx[k]]`` is tested against polygon
-        ``poly_idx[k]``. Pairs are grouped by polygon so each polygon tests
-        all of its candidate points in one vectorized call; the result comes
-        out with polygon ids ascending and, within a polygon, points in
-        candidate order. ``distance=None`` is boundary-exclusive
-        containment; ``distance >= 0`` is inside OR within ``distance`` of
-        the boundary (``points_dwithin_rings``, 0 included)."""
+        ``poly_idx[k]``. ``distance=None`` is boundary-exclusive
+        containment (``points_in_polygon_single``); ``distance >= 0`` is
+        inside OR within ``distance`` of the boundary
+        (``points_dwithin_rings``, 0 included). The answers are those
+        functions' answers, bit for bit; the result comes out with polygon
+        ids ascending and, within a polygon, points in candidate order.
+
+        One pass over all pairs: a pair whose point lies outside the
+        polygon's closed bbox (padded by ``distance`` and a rounding slack)
+        is dropped, the rest run the exact tests over (pair x edge) arrays,
+        reduced per pair."""
         point_idx = np.asarray(point_idx, dtype=np.int64)
         poly_idx = np.asarray(poly_idx, dtype=np.int64)
-        order = np.argsort(poly_idx, kind="stable")
-        polys = poly_idx[order]
-        points = point_idx[order]
-        if not len(points):
-            return points, polys
-        keep = np.zeros(len(points), dtype=bool)
-        heads = np.flatnonzero(np.diff(polys)) + 1
-        for lo, hi in zip(np.r_[0, heads].tolist(), np.r_[heads, len(points)].tolist()):
-            grp = points[lo:hi]
-            rings = self.rings_of(int(polys[lo]))
-            if distance is None:
-                keep[lo:hi] = points_in_polygon_single(px[grp], py[grp], rings)
-            else:
-                keep[lo:hi] = points_dwithin_rings(px[grp], py[grp], rings, distance)
-        return points[keep], polys[keep]
+        x = np.asarray(px, dtype=np.float64)[point_idx]
+        y = np.asarray(py, dtype=np.float64)[point_idx]
+        pad = 0.0 if distance is None else float(distance)
+        b = self.bounds
+        # NaN bounds (or coords) compare False, so such pairs stay for the exact test
+        slack = pad + _BBOX_SLACK * (np.abs(b).max(axis=1) + pad)
+        lo_x, lo_y = (b[:, 0] - slack)[poly_idx], (b[:, 1] - slack)[poly_idx]
+        hi_x, hi_y = (b[:, 2] + slack)[poly_idx], (b[:, 3] + slack)[poly_idx]
+        cand = np.flatnonzero(~((x < lo_x) | (x > hi_x) | (y < lo_y) | (y > hi_y)))
+        x, y, poly = x[cand], y[cand], poly_idx[cand]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            hit = self._contains(x, y, poly)
+            if distance is not None:
+                rest = np.flatnonzero(~hit)
+                hit[rest] = self._near(x[rest], y[rest], poly[rest], float(distance))
+        keep = cand[hit]
+        keep = keep[np.argsort(poly_idx[keep], kind="stable")]
+        return point_idx[keep], poly_idx[keep]
 
 
 # --------------------------------------------------------------------------

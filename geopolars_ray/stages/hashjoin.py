@@ -8,18 +8,21 @@ sparse keys (grid cells, remainder id sets) — exactly the keys our
 partitioned spatial/kNN joins use. (Verified: a left_anti join against an
 empty-but-schema-correct right Dataset raises ArrowInvalid.)
 
-Shape: pad both sides to one union schema tagged with a ``_side`` column,
-hash-co-partition on the key (the same ``hash_partitioned_map`` exchange that
-backs ``hash_aggregate``), then run ONE ``pyarrow.Table.join`` (C++ Acero)
-per partition. Empty sides keep their schema because WE construct the
-partition tables, so empty partitions are handled correctly by construction.
+Shape (:func:`co_partitioned_map`): pad both sides to one union schema
+tagged with a ``_side`` column, hash-co-partition on the key (the same
+``hash_partitioned_map`` exchange that backs ``hash_aggregate``), then split
+each partition back into its two sides and run one local join on them.
+:func:`hash_join` plugs in ONE ``pyarrow.Table.join`` (C++ Acero) per
+partition; the partitioned spatial join plugs in its point-in-polygon join.
+Empty sides keep their schema because WE construct the partition tables, so
+empty partitions are handled correctly by construction.
 
 Supported: inner, left (outer), left_anti, left_semi on equality keys.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -31,6 +34,90 @@ _ACERO_TYPE = {
     "left_anti": "left anti",
     "left_semi": "left semi",
 }
+
+
+def co_partitioned_map(
+    left_ds,
+    right_ds,
+    on: Sequence[str],
+    fn: Callable[[pa.Table, pa.Table], pa.Table],
+    *,
+    right_on: Sequence[str] | None = None,
+    right_values: bool = True,
+    num_partitions: int = 32,
+    left_schema: pa.Schema | None = None,
+    right_schema: pa.Schema | None = None,
+):
+    """Co-partition two Datasets on equality keys and call ``fn(left, right)``
+    once per hash partition; robust to partitions empty on one side.
+
+    ``fn`` gets the partition's left rows in the left schema and its right
+    rows in the right schema: the ``right_on`` key columns, plus every other
+    right column when ``right_values`` (else keys only). Either side may
+    have zero rows; it still carries its columns.
+
+    ``left_schema``/``right_schema``: pass explicit Arrow schemas when known —
+    ``Dataset.schema()`` on a lazy pipeline can return None (e.g. when the
+    first produced block is empty), and it triggers partial execution.
+    """
+    from geopolars_ray.stages.agg import hash_partitioned_map
+
+    on = list(on)
+    right_on = list(right_on or on)
+    if len(on) != len(right_on):
+        raise ValueError("on and right_on must have equal length")
+    ls = left_schema if left_schema is not None else left_ds.schema()
+    rs = right_schema if right_schema is not None else right_ds.schema()
+    if ls is None or rs is None:
+        raise ValueError("schema unavailable — pass left_schema/right_schema explicitly")
+    lnames = list(ls.names)
+    ltypes = dict(zip(ls.names, ls.types))
+    rtypes = dict(zip(rs.names, rs.types))
+    r_vals = [c for c in rs.names if c not in right_on] if right_values else []
+    # both sides share one union schema: the left columns, then the right
+    # values under names no other union column has
+    taken = set(lnames)
+    union_rname = {}
+    for c in r_vals:
+        u = c
+        while u in taken:
+            u += "_r"
+        taken.add(u)
+        union_rname[c] = u
+
+    def pad_left(b: pa.Table) -> pa.Table:
+        out = b.select(lnames)
+        for c in r_vals:
+            out = out.append_column(union_rname[c], pa.nulls(len(b), rtypes[c]))
+        return out.append_column("_side", pa.array(np.zeros(len(b), dtype=np.int8)))
+
+    def pad_right(b: pa.Table) -> pa.Table:
+        cols = {}
+        for name in lnames:
+            if name in on:
+                cols[name] = b[right_on[on.index(name)]]
+            else:
+                cols[name] = pa.nulls(len(b), ltypes[name])
+        for c in r_vals:
+            cols[union_rname[c]] = b[c]
+        out = pa.table(cols)
+        return out.append_column("_side", pa.array(np.ones(len(b), dtype=np.int8)))
+
+    both = left_ds.map_batches(pad_left, batch_format="pyarrow").union(
+        right_ds.map_batches(pad_right, batch_format="pyarrow")
+    )
+    r_union = on + [union_rname[c] for c in r_vals]
+    r_names = right_on + r_vals
+
+    def per_partition(part: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        lmask = pc.equal(part["_side"], 0)
+        l = part.filter(lmask).select(lnames)
+        r = part.filter(pc.invert(lmask)).select(r_union).rename_columns(r_names)
+        return fn(l, r)
+
+    return hash_partitioned_map(both, on, per_partition, num_partitions)
 
 
 def hash_join(
@@ -52,65 +139,23 @@ def hash_join(
     with a left column name. Key columns appear once, under their LEFT
     names (full_outer coalesces keys, so right-only rows carry their key).
 
-    ``left_schema``/``right_schema``: pass explicit Arrow schemas when known —
-    ``Dataset.schema()`` on a lazy pipeline can return None (e.g. when the
-    first produced block is empty), and it triggers partial execution.
+    ``left_schema``/``right_schema``: as for :func:`co_partitioned_map`.
     """
     if how not in _ACERO_TYPE:
         raise ValueError(f"unsupported join type {how!r}")
-    from geopolars_ray.stages.agg import hash_partitioned_map
-
     on = list(on)
-    right_on = list(right_on or on)
-    if len(on) != len(right_on):
-        raise ValueError("on and right_on must have equal length")
-    ls = left_schema if left_schema is not None else left_ds.schema()
-    rs = right_schema if right_schema is not None else right_ds.schema()
-    if ls is None or rs is None:
-        raise ValueError("schema unavailable — pass left_schema/right_schema explicitly")
-    lnames = list(ls.names)
-    ltypes = dict(zip(ls.names, ls.types))
-    rtypes = dict(zip(rs.names, rs.types))
-    r_vals = [c for c in rs.names if c not in right_on]
-    out_rname = {c: (c + r_suffix if c in lnames else c) for c in r_vals}
-    keep_r_vals = how in ("inner", "left", "full_outer")
-
-    def pad_left(b: pa.Table) -> pa.Table:
-        out = b.select(lnames)
-        if keep_r_vals:
-            for c in r_vals:
-                out = out.append_column(out_rname[c], pa.nulls(len(b), rtypes[c]))
-        return out.append_column("_side", pa.array(np.zeros(len(b), dtype=np.int8)))
-
-    def pad_right(b: pa.Table) -> pa.Table:
-        cols = {}
-        for name in lnames:
-            if name in on:
-                cols[name] = b[right_on[on.index(name)]]
-            else:
-                cols[name] = pa.nulls(len(b), ltypes[name])
-        if keep_r_vals:
-            for c in r_vals:
-                cols[out_rname[c]] = b[c]
-        out = pa.table(cols)
-        return out.append_column("_side", pa.array(np.ones(len(b), dtype=np.int8)))
-
-    both = left_ds.map_batches(pad_left, batch_format="pyarrow").union(
-        right_ds.map_batches(pad_right, batch_format="pyarrow")
-    )
-
-    r_cols = on + ([out_rname[c] for c in r_vals] if keep_r_vals else [])
     acero_how = _ACERO_TYPE[how]
 
-    def per_partition(part: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    def acero_join(l: pa.Table, r: pa.Table) -> pa.Table:
+        lnames = set(l.column_names)
+        r_out = on + [c + r_suffix if c in lnames else c for c in r.column_names[len(on):]]
+        return l.join(r.rename_columns(r_out), keys=on, join_type=acero_how)
 
-        lmask = pc.equal(part["_side"], 0)
-        l = part.filter(lmask).select(lnames)
-        r = part.filter(pc.invert(lmask)).select(r_cols)
-        return l.join(r, keys=on, join_type=acero_how)
-
-    return hash_partitioned_map(both, on, per_partition, num_partitions)
+    return co_partitioned_map(
+        left_ds, right_ds, on, acero_join, right_on=right_on,
+        right_values=how in ("inner", "left", "full_outer"), num_partitions=num_partitions,
+        left_schema=left_schema, right_schema=right_schema,
+    )
 
 
 def broadcast_hash_join(

@@ -15,15 +15,18 @@ Reimplements ``spatial_join(lhs, rhs, SpatialJoinArgs)``
   vectorized candidate generation. Joined rows are emitted directly with the
   point payload — no equi-join tail needed (SURVEY.md §3.3).
 - :func:`partitioned_spatial_join` — large-large: replicate each polygon to
-  the lat/lon grid cells its bbox overlaps, assign each point its cell, then
-  a union-based ``hash_join`` on the cell id + exact refinement. A point
+  the lat/lon grid cells its bbox overlaps, assign each point its cell,
+  co-partition both sides on the cell id (the union exchange of
+  ``stages/hashjoin.py``), then one local PIP join per partition
+  (:func:`pip_join_partition`): cell -> replica CSR lookup, replicas decoded
+  once, all pairs refined in one pass, only matched rows emitted. A point
   lives in exactly one cell so no output dedup is needed. Partitioning
   assumption: polygon bboxes are small relative to the cell size
   (replication factor stays O(1)); choose ``cell_deg`` accordingly.
 
 The broadcast and partitioned joins (and the raster zonal stage) refine
-their candidate pairs with one kernel, ``PreparedPolygons.match``: pairs
-grouped by polygon, one vectorized PIP (or dwithin) call per polygon.
+their candidate pairs with one kernel, ``PreparedPolygons.match``: a bbox
+prefilter, then one pair-vectorised PIP (or dwithin) pass over all pairs.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ from geopolars_ray.geom.array import (
     MULTIPOINT,
     MULTILINESTRING,
     MULTIPOLYGON,
+    _expand_cell_rects,
+    _expand_ranges,
 )
 from geopolars_ray.geom.strtree import (
     STRTree,
@@ -125,6 +130,12 @@ def _line_contains_point(segs: np.ndarray | None, px: float, py: float) -> bool:
     return bool(((cross == 0) & within).any())
 
 
+def _point_xy(ga: GeometryArray, i: int) -> np.ndarray:
+    """The coordinate of point geometry ``i``: its entry of
+    ``ga.coord_offsets()``, without composing the offsets of every row."""
+    return ga.coords[ga.ring_offsets[ga.part_offsets[ga.geom_offsets[i]]]]
+
+
 def refine_pair(lhs: GeometryArray, rhs: GeometryArray, li: int, ri: int, predicate: str) -> bool:
     """Exact test for one candidate pair, following the reference's dispatch
     (`spatial_index.rs:89-137`) including its quirks:
@@ -139,13 +150,11 @@ def refine_pair(lhs: GeometryArray, rhs: GeometryArray, li: int, ri: int, predic
     - every other type pair is silently false (`:136`).
     """
     lt, rt = int(lhs.types[li]), int(rhs.types[ri])
-    co_l = lhs.coord_offsets()
-    co_r = rhs.coord_offsets()
     if lt == POINT and rt in _POLYISH:
-        p = lhs.coords[co_l[li]]
+        p = _point_xy(lhs, li)
         return bool(points_in_polygon_single(np.array([p[0]]), np.array([p[1]]), _rings_of(rhs, ri))[0])
     if lt in _POLYISH and rt == POINT:
-        p = rhs.coords[co_r[ri]]
+        p = _point_xy(rhs, ri)
         return bool(points_in_polygon_single(np.array([p[0]]), np.array([p[1]]), _rings_of(lhs, li))[0])
     if lt in _POLYISH and rt == POLYGON:
         return _poly_poly(
@@ -156,10 +165,10 @@ def refine_pair(lhs: GeometryArray, rhs: GeometryArray, li: int, ri: int, predic
             return False
         return _poly_poly(_rings_of(lhs, li), _rings_of(rhs, ri), want_contains=False, l_contains_r=True)
     if lt in _LINEISH and rt == POINT:
-        p = rhs.coords[co_r[ri]]
+        p = _point_xy(rhs, ri)
         return _line_contains_point(_segments_of_rings(_rings_of(lhs, li)), p[0], p[1])
     if lt == POINT and rt in _LINEISH:
-        p = lhs.coords[co_l[li]]
+        p = _point_xy(lhs, li)
         return _line_contains_point(_segments_of_rings(_rings_of(rhs, ri)), p[0], p[1])
     return False
 
@@ -240,8 +249,7 @@ def spatial_join_table(
         take_l = all_l[order]
         take_r = np.concatenate([ri, np.full(len(unmatched), -1, dtype=np.int64)])[order]
         out_l = lhs_sfx.take(pa.array(take_l))
-        r_idx = pa.array([None if v < 0 else int(v) for v in take_r], pa.int64())
-        out_r = rhs_sfx.take(r_idx)
+        out_r = rhs_sfx.take(pa.array(take_r, mask=take_r < 0))
     cols = list(out_l.columns) + list(out_r.columns)
     names = out_l.column_names + out_r.column_names
     return pa.table(dict(zip(names, cols)))
@@ -320,7 +328,7 @@ class BroadcastPIPJoin:
             take_p = all_p[order]
             take_i = np.concatenate([mi, np.full(len(unmatched), -1, dtype=np.int64)])[order]
             out = batch.take(pa.array(take_p))
-            pay = self.payload.take(pa.array([None if v < 0 else int(v) for v in take_i], pa.int64()))
+            pay = self.payload.take(pa.array(take_i, mask=take_i < 0))
         for name, col in zip(pay.column_names, pay.columns):
             out = out.append_column(name, col)
         return out
@@ -378,28 +386,33 @@ def partitioned_spatial_join(
     predicate: str = "intersects",
     distance: float | None = None,
 ):
-    """Large-large PIP join: co-partition both sides by grid cell, hash-join,
-    refine exactly. Returns matched point rows + polygon payload columns.
+    """Large-large PIP join: co-partition both sides by grid cell, join each
+    partition locally with an exact refine. Returns matched point rows +
+    polygon payload columns (suffixed ``_r`` on a name collision with a
+    point column).
 
     Shuffle plan: polygons replicate to every ``cell_deg`` lat/lon cell
     their bbox overlaps (flat_map-style batch kernel); points carry their
-    single cell id; a union-based ``hash_join`` on ``_cell`` co-locates
-    them; a final grouped-by-polygon PIP refinement
-    (``PreparedPolygons.match``) drops bbox-only false positives. Each point
-    has exactly one cell, so no pair dedup is needed. Hot cells can be split
-    further by salting the cell id on the polygon side and duplicating the
-    point-side lookup — not needed while polygon side per cell stays small.
+    single cell id; the union exchange of ``stages/hashjoin.py``
+    (``co_partitioned_map``) co-locates every cell's points and polygon
+    replicas in one hash partition. Each partition then runs
+    :func:`pip_join_partition`: a cell -> replica CSR gives the
+    (point, replica) pairs of the equi-join on ``_cell`` without building
+    them as rows, the replicas are decoded once, and one
+    ``PreparedPolygons.match`` pass keeps the exact matches. Only matched
+    rows are materialised. Each point has exactly one cell, so no pair
+    dedup is needed. Hot cells can be split further by salting the cell id
+    on the polygon side and duplicating the point-side lookup — not needed
+    while polygon side per cell stays small.
 
     The grid is the only exchange: H3 and S2 cell exchanges gave the same
     pairs 8-10x slower, all of it in the per-polygon covers.
 
     ``predicate="dwithin"`` (with ``distance``): polygons replicate to the
     cells of their by-distance-EXPANDED bbox and the refine swaps PIP for
-    the inside-or-within-distance test — same exchange plan, same
-    grouped-by-polygon kernel.
+    the inside-or-within-distance test — same exchange plan, same kernel.
     """
-    from geopolars_ray.geom.array import _expand_cell_rects
-    from geopolars_ray.stages.hashjoin import hash_join
+    from geopolars_ray.stages.hashjoin import co_partitioned_map
 
     if predicate not in ("intersects", "dwithin"):
         raise ValueError(f"unsupported partitioned-join predicate {predicate!r}")
@@ -441,38 +454,59 @@ def partitioned_spatial_join(
         base = getattr(ds.schema(), "base_schema", None)
         return base.append(pa.field("_cell", pa.int64())) if isinstance(base, pa.Schema) else None
 
-    # union-based hash_join, NOT Dataset.join: cell ids are sparse keys and
-    # Ray 2.49's native hash-shuffle join crashes when a hash partition
-    # receives no rows on one side (see stages/hashjoin.py)
-    joined = hash_join(
+    def pip_join(points: pa.Table, polys: pa.Table) -> pa.Table:
+        return pip_join_partition(points, polys, lon_col=lon_col, lat_col=lat_col,
+                                  geometry_col=geometry_col, distance=dist)
+
+    # the union-based co-partition of stages/hashjoin.py, NOT Dataset.join:
+    # cell ids are sparse keys and Ray 2.49's native hash-shuffle join
+    # crashes when a hash partition receives no rows on one side
+    return co_partitioned_map(
         points_ds.map_batches(point_cell, batch_format="pyarrow"),
         polygons_ds.map_batches(poly_to_cells, batch_format="pyarrow"),
-        on=["_cell"], how="inner", num_partitions=num_partitions, r_suffix="_r",
+        ["_cell"], pip_join, num_partitions=num_partitions,
         left_schema=with_cell(points_ds), right_schema=with_cell(polygons_ds),
     )
 
-    def refine(batch: pa.Table) -> pa.Table:
-        # group candidate rows by polygon identity (exact, via Arrow
-        # dictionary-encode of the WKB blob) so each distinct polygon tests
-        # all of its candidate points in ONE vectorized call
-        import pyarrow.compute as pc
 
-        # the polygon geometry is suffixed by hash_join when the POINT side
-        # also carries a same-named column (e.g. from_xy point WKBs) — the
-        # suffixed name, when present, is always the polygon side
-        gcol = (geometry_col + "_r" if geometry_col + "_r" in batch.column_names
-                else geometry_col)
-        if batch.num_rows == 0:
-            return batch.drop_columns([c for c in ("_cell", gcol) if c in batch.column_names])
-        enc = pc.dictionary_encode(batch[gcol].combine_chunks())
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        prep = PreparedPolygons.from_geometry_array(decode_wkb(enc.dictionary))
-        lon = batch[lon_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        lat = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        rows, _ = prep.match(np.arange(len(codes)), codes, lon, lat, dist)
-        keep = np.zeros(len(batch), dtype=bool)
-        keep[rows] = True
-        out = batch.filter(pa.array(keep))
-        return out.drop_columns([c for c in ("_cell", gcol) if c in out.column_names])
+def pip_join_partition(
+    points: pa.Table,
+    polys: pa.Table,
+    lon_col: str = "lon",
+    lat_col: str = "lat",
+    geometry_col: str = "geometry",
+    distance: float | None = None,
+) -> pa.Table:
+    """The local join of one co-partition of :func:`partitioned_spatial_join`.
 
-    return joined.map_batches(refine, batch_format="pyarrow")
+    ``points`` carry their one ``_cell``; ``polys`` are polygon replicas,
+    one row per (polygon, overlapped cell), with a WKB ``geometry_col`` and
+    payload columns. A cell -> replica CSR (replicas sorted by ``_cell``,
+    point cells looked up with ``searchsorted``) gives the (point, replica)
+    pairs of an equi-join on ``_cell``; the replicas are decoded once and
+    ``PreparedPolygons.match`` refines all pairs in one pass
+    (``distance=None``: boundary-exclusive containment, else dwithin).
+
+    Returns the matched rows only: the point columns without ``_cell``, then
+    the payload columns (every polygon column but ``_cell`` and the
+    geometry), suffixed ``_r`` when they collide with a point column, as
+    ``hash_join`` names them. Zero rows keep that schema.
+    """
+    pcell = points["_cell"].to_numpy()
+    rcell = polys["_cell"].to_numpy()
+    order = np.argsort(rcell, kind="stable")
+    lo = np.searchsorted(rcell[order], pcell, side="left")
+    hi = np.searchsorted(rcell[order], pcell, side="right")
+    pidx = np.repeat(np.arange(len(pcell), dtype=np.int64), hi - lo)
+    ridx = order[_expand_ranges(lo, hi)]
+    prep = PreparedPolygons.from_geometry_array(decode_wkb(polys[geometry_col]))
+    lon = points[lon_col].to_numpy(zero_copy_only=False).astype(np.float64)
+    lat = points[lat_col].to_numpy(zero_copy_only=False).astype(np.float64)
+    mp, mi = prep.match(pidx, ridx, lon, lat, distance)
+
+    out = points.drop_columns(["_cell"]).take(pa.array(mp))
+    lnames = set(points.column_names)
+    pay = polys.drop_columns(["_cell", geometry_col]).take(pa.array(mi))
+    for name, col in zip(pay.column_names, pay.columns):
+        out = out.append_column(name + "_r" if name in lnames else name, col)
+    return out

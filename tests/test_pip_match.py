@@ -1,8 +1,10 @@
-"""The grouped point-in-polygon refine (``PreparedPolygons.match``) and the
-box-to-cells expansion shared by the grid index and the grid exchanges."""
+"""The pair-vectorised point-in-polygon refine (``PreparedPolygons.match``)
+and the box-to-cells expansion shared by the grid index and the grid
+exchanges."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geopolars_ray.geom import GeometryArray, decode_wkb
 from geopolars_ray.geom import kernels as K
@@ -78,6 +80,99 @@ def test_match_equals_the_per_pair_loop_in_order(distance):
     np.testing.assert_array_equal(got[1], want[1])
     assert len(got[0]) > 0
     assert (np.diff(got[1]) >= 0).all()
+
+
+def _per_polygon(prep, point_idx, poly_idx, px, py, distance):
+    """The reference: pairs grouped by polygon, one kernel call per polygon
+    over its candidate points in candidate order."""
+    order = np.argsort(poly_idx, kind="stable")
+    pts, polys = point_idx[order], poly_idx[order]
+    keep = np.zeros(len(pts), dtype=bool)
+    for j in np.unique(polys):
+        grp = np.flatnonzero(polys == j)
+        rings = prep.rings_of(int(j))
+        gx, gy = px[pts[grp]], py[pts[grp]]
+        if distance is None:
+            keep[grp] = points_in_polygon_single(gx, gy, rings)
+        else:
+            keep[grp] = points_dwithin_rings(gx, gy, rings, distance)
+    return pts[keep], polys[keep]
+
+
+# coordinates on a half-unit lattice, so points land on edges and vertices
+_lattice = st.integers(-6, 6).map(lambda v: v / 2.0)
+# rings of 1..7 coords, closed or left open
+_ring = st.tuples(st.lists(st.tuples(_lattice, _lattice), min_size=1, max_size=7), st.booleans()).map(
+    lambda t: t[0] + [t[0][0]] if t[1] else t[0])
+_polygon = st.lists(_ring, min_size=0, max_size=3)  # shell + holes, or empty
+_geometry = st.one_of(
+    _polygon.map(lambda rings: ("polygon", rings)),
+    st.lists(_polygon.filter(len), min_size=1, max_size=3).map(lambda ps: ("multipolygon", ps)),
+    st.none(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(geoms=st.lists(_geometry, min_size=1, max_size=5),
+       lattice_pts=st.lists(st.tuples(_lattice, _lattice), max_size=40),
+       float_pts=st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), max_size=20),
+       distance=st.sampled_from([None, 0.0, 0.3, 0.5, 1.25]),
+       seed=st.integers(0, 2**16))
+def test_match_equals_the_per_polygon_loop(geoms, lattice_pts, float_pts, distance, seed):
+    """The pair kernel gives the per-polygon loop's pairs, in its order:
+    holes, multipolygons, open rings, rings under 3 coords, empty and
+    missing rows, points on edges and vertices, and (dwithin) points
+    exactly ``distance`` beyond each bbox-extreme vertex."""
+    prep = PreparedPolygons.from_geometry_array(GeometryArray.from_pylist(geoms))
+    xy = list(lattice_pts) + list(float_pts)
+    d = 0.0 if distance is None else distance
+    c = prep.ring_coords
+    if len(c):
+        for k in (np.argmin(c[:, 0]), np.argmax(c[:, 0]), np.argmin(c[:, 1]), np.argmax(c[:, 1])):
+            vx, vy = c[k]
+            xy += [(vx - d, vy), (vx + d, vy), (vx, vy - d), (vx, vy + d)]
+    if not xy:
+        xy = [(0.0, 0.0)]
+    px = np.array([p[0] for p in xy])
+    py = np.array([p[1] for p in xy])
+    rng = np.random.default_rng(seed)
+    pi, qi = np.meshgrid(np.arange(len(px)), np.arange(prep.n), indexing="ij")
+    pairs = np.column_stack([pi.ravel(), qi.ravel()])
+    pairs = np.vstack([pairs, pairs[rng.choice(len(pairs), 10)]])
+    pairs = pairs[rng.permutation(len(pairs))]
+    got = prep.match(pairs[:, 0], pairs[:, 1], px, py, distance)
+    want = _per_polygon(prep, pairs[:, 0], pairs[:, 1], px, py, distance)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_match_keeps_points_exactly_distance_beyond_the_bbox():
+    """A point exactly ``distance`` beyond a bbox-extreme vertex is within
+    ``distance``: the bbox prefilter must not drop it."""
+    prep = _prep()
+    d = 0.75
+    # the diamond's extreme vertices, pushed out by d along each axis
+    px = np.array([8.0 + d, 2.0 - d, 5.0, 5.0, 8.0 + d + 1e-9])
+    py = np.array([15.0, 15.0, 18.0 + d, 12.0 - d, 15.0])
+    pts = np.arange(5)
+    got, _ = prep.match(pts, np.full(5, 2), px, py, d)
+    assert got.tolist() == [0, 1, 2, 3]
+
+
+def test_match_splits_large_inputs_into_blocks(monkeypatch):
+    """Blocks of a few pair x edge elements give the one-block answer."""
+    from geopolars_ray.geom import strtree
+
+    prep = _prep()
+    px, py = _points()
+    pi, qi = np.meshgrid(np.arange(len(px)), np.arange(prep.n), indexing="ij")
+    for distance in (None, 0.75):
+        want = prep.match(pi.ravel(), qi.ravel(), px, py, distance)
+        monkeypatch.setattr(strtree, "_PAIR_EDGE_BLOCK", 7)
+        got = prep.match(pi.ravel(), qi.ravel(), px, py, distance)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_match_boundary_contains_vs_dwithin_zero():

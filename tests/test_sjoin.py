@@ -187,8 +187,8 @@ def test_partitioned_join_matches_broadcast(ray_session):
 
 def test_identical_polygons_with_different_ids_both_match(ray_session):
     """Two polygon rows with the same WKB and different ids each match
-    every point inside: the partitioned refine groups rows by WKB
-    dictionary code, and both rows share one code."""
+    every point inside: the partitioned join refines per polygon replica
+    row, never by geometry value."""
     import ray
     from geopolars_ray.stages.join import broadcast_spatial_join, partitioned_spatial_join
 
@@ -377,9 +377,8 @@ def test_partitioned_join_dwithin_matches_broadcast(ray_session):
 
 def test_partitioned_join_point_side_geometry_collision(ray_session):
     """A point side that carries its own 'geometry' column (e.g. built by
-    from_xy) must not poison the refine: hash_join suffixes the polygon
-    geometry to geometry_r and the refine must pick the SUFFIXED (polygon)
-    column, not the point WKBs."""
+    from_xy) must not poison the refine: the local join must test the
+    polygon side's geometry, not the point WKBs."""
     import ray
     from geopolars_ray.stages.join import partitioned_spatial_join
 
@@ -400,3 +399,87 @@ def test_partitioned_join_point_side_geometry_collision(ray_session):
     assert set(got["pid"].astype(int)) == want and len(want) > 0
     # the point side's own geometry column survives untouched
     assert "geometry" in got.columns
+
+
+def test_partitioned_join_polygon_over_many_cells_in_one_partition(ray_session):
+    """A polygon whose bbox covers many grid cells replicates to each of
+    them; with one hash partition every replica lands in the same local
+    join, and each point still matches once (it has one cell)."""
+    import ray
+    from geopolars_ray.stages.join import partitioned_spatial_join
+
+    rng = np.random.default_rng(8)
+    n = 2000
+    lon = rng.uniform(-4, 4, n)
+    lat = rng.uniform(-4, 4, n)
+    pts = pa.table({"pid": pa.array(np.arange(n)), "lon": pa.array(lon), "lat": pa.array(lat)})
+    sq = ("polygon", [[(-3.0, -3.0), (3.0, -3.0), (3.0, 3.0), (-3.0, 3.0), (-3.0, -3.0)]])
+    admin = pa.table({"admin_id": pa.array(["sq"]), "geometry": encode_wkb(GeometryArray.from_pylist([sq]))})
+    got = partitioned_spatial_join(ray.data.from_arrow(pts), ray.data.from_arrow(admin),
+                                   cell_deg=1.0, num_partitions=1).to_pandas()
+    want = np.nonzero((np.abs(lon) < 3.0) & (np.abs(lat) < 3.0))[0]
+    assert sorted(got["pid"].astype(int)) == want.tolist() and len(want) > 0
+
+
+def test_partitioned_join_keeps_suffixed_payload_names(ray_session):
+    """A point side with its own 'geometry' and a payload-named column:
+    the point columns keep their names, the colliding polygon payload comes
+    out as '<name>_r', and neither '_cell' nor the polygon geometry is
+    emitted."""
+    import ray
+    from geopolars_ray.stages.join import partitioned_spatial_join
+
+    lon = np.array([1.0, 2.0, 9.0])
+    lat = np.array([1.0, 3.0, 9.0])
+    pts = pa.table({"pid": pa.array([0, 1, 2]), "lon": pa.array(lon), "lat": pa.array(lat),
+                    "admin_id": pa.array(["x", "y", "z"]),
+                    "geometry": encode_wkb(GeometryArray.from_points(lon, lat))})
+    sq = ("polygon", [[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (0.0, 0.0)]])
+    admin = pa.table({"admin_id": pa.array(["a"]), "name": pa.array(["square"]),
+                      "geometry": encode_wkb(GeometryArray.from_pylist([sq]))})
+    got = pa.concat_tables(ray.get(partitioned_spatial_join(
+        ray.data.from_arrow(pts), ray.data.from_arrow(admin), cell_deg=2.0, num_partitions=4,
+    ).to_arrow_refs()))
+    assert got.column_names == ["pid", "lon", "lat", "admin_id", "geometry", "admin_id_r", "name"]
+    got = got.sort_by("pid")
+    assert got["pid"].to_pylist() == [0, 1]
+    assert got["admin_id"].to_pylist() == ["x", "y"]
+    assert got["admin_id_r"].to_pylist() == ["a", "a"]
+    assert got["geometry"].to_pylist() == pts["geometry"].to_pylist()[:2]
+
+
+def _partition_inputs():
+    sq = ("polygon", [[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (0.0, 0.0)]])
+    polys = pa.table({"admin_id": pa.array(["a", "b"]), "_cell": pa.array([7, 8], pa.int64()),
+                      "geometry": encode_wkb(GeometryArray.from_pylist([sq, sq]))})
+    pts = pa.table({"pid": pa.array([0, 1, 2]), "lon": pa.array([1.0, 9.0, 2.0]),
+                    "lat": pa.array([1.0, 9.0, 2.0]), "_cell": pa.array([7, 7, 8], pa.int64())})
+    return pts, polys
+
+
+def test_pip_join_partition_matches_by_cell():
+    """Pairs are the equi-join on _cell refined by PIP: point 1 shares cell
+    7 with polygon a but lies outside it; point 2 meets only b's replica."""
+    from geopolars_ray.stages.join import pip_join_partition
+
+    pts, polys = _partition_inputs()
+    got = pip_join_partition(pts, polys)
+    assert got.column_names == ["pid", "lon", "lat", "admin_id"]
+    assert sorted(zip(got["pid"].to_pylist(), got["admin_id"].to_pylist())) == [(0, "a"), (2, "b")]
+
+
+@pytest.mark.parametrize("case", ["no_polygons", "no_points", "both_empty"])
+def test_pip_join_partition_empty_sides_keep_the_schema(case):
+    """A partition empty on one side, or on both, gives zero rows in the
+    schema of the non-empty output."""
+    from geopolars_ray.stages.join import pip_join_partition
+
+    pts, polys = _partition_inputs()
+    full = pip_join_partition(pts, polys)
+    if case in ("no_points", "both_empty"):
+        pts = pts.slice(0, 0)
+    if case in ("no_polygons", "both_empty"):
+        polys = pa.Table.from_batches([], schema=polys.schema)
+    got = pip_join_partition(pts, polys)
+    assert got.num_rows == 0
+    assert got.schema == full.schema
