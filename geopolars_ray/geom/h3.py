@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _h3_tables as T
+from .tiles import polygon_grid_cells
 
 RES0_U = 0.38196601125010500003          # RES0_U_GNOMONIC
 AP7_ROT = float(np.arcsin(np.sqrt(3.0 / 28.0)))
@@ -593,67 +594,10 @@ def polygon_to_cells(rings, res: int, max_cells: int = 2_000_000,
     fill over the neighbor graph), so cost is O(output), not O(bbox).
     ``max_cells`` is a loud budget guard for runaway res/polygon combos.
     """
-    if mode not in ("center", "cover"):
-        raise ValueError(f"unknown polygon_to_cells mode {mode!r}")
-    from .strtree import points_in_polygon_single
-
-    rings = [np.asarray(r, dtype=np.float64) for r in rings if len(r) >= 3]
-    if not rings:
-        return np.empty(0, dtype=np.uint64)
-    pitch_deg = np.degrees(np.arctan(RES0_U / SQRT7 ** res))
-
-    def inside(cells):
-        la, lo = cell_to_latlng(cells)
-        return points_in_polygon_single(lo, la, rings)
-
-    # 1. trace every ring edge at ~0.3-pitch steps -> boundary cell set
-    pts_lon = []
-    pts_lat = []
-    for ring in rings:
-        a = ring
-        b = np.roll(ring, -1, axis=0)
-        seg = np.hypot((b[:, 0] - a[:, 0]) * np.cos(np.radians((a[:, 1] + b[:, 1]) / 2)),
-                       b[:, 1] - a[:, 1])
-        nstep = np.maximum(1, np.ceil(seg / (0.3 * pitch_deg)).astype(np.int64))
-        for s in range(len(a)):
-            t = np.linspace(0.0, 1.0, int(nstep[s]) + 1)
-            pts_lon.append(a[s, 0] + t * (b[s, 0] - a[s, 0]))
-            pts_lat.append(a[s, 1] + t * (b[s, 1] - a[s, 1]))
-    lon = np.concatenate(pts_lon)
-    lat = np.concatenate(pts_lat)
-    if len(lon) > 50 * max_cells:
-        raise ValueError(f"polygon_to_cells: boundary tracing needs {len(lon)} "
-                         f"samples (> 50*max_cells); raise max_cells or lower res")
-    boundary = np.unique(latlng_to_cell(lat, lon, res))
-
-    # 2. flood fill inward: BFS over inside cells seeded from the boundary
-    #    ring and its immediate neighbors
-    ring_zone = np.unique(np.concatenate([boundary,
-                                          cell_to_neighbors(boundary).ravel()]))
-    # BFS with vectorized bookkeeping (sorted arrays + np.isin; ``visited``
-    # tracks every TESTED cell so outside cells are PIP-tested once) —
-    # same pattern as geom/s2.py polygon_covering
-    keep = ring_zone[inside(ring_zone)]
-    visited = ring_zone
-    frontier = keep
-    while len(frontier):
-        nb = np.unique(cell_to_neighbors(frontier).ravel())
-        fresh = nb[~np.isin(nb, visited, assume_unique=True)]
-        if not len(fresh):
-            break
-        visited = np.sort(np.concatenate([visited, fresh]))
-        new = fresh[inside(fresh)]
-        keep = np.concatenate([keep, new])
-        if len(keep) > max_cells:
-            raise ValueError(f"polygon_to_cells exceeded max_cells={max_cells} "
-                             f"at res {res}; raise the budget explicitly")
-        frontier = new
-    if mode == "cover":
-        keep = np.unique(np.concatenate([keep, ring_zone]))
-        if len(keep) > max_cells:
-            raise ValueError(f"polygon_to_cells exceeded max_cells={max_cells} "
-                             f"at res {res}; raise the budget explicitly")
-    return np.unique(keep)
+    return polygon_grid_cells(
+        rings, np.degrees(np.arctan(RES0_U / SQRT7 ** res)), lambda lon, lat: latlng_to_cell(lat, lon, res),
+        lambda cells: cell_to_latlng(cells)[::-1], cell_to_neighbors,
+        zone_hops=1, max_cells=max_cells, mode=mode, name="polygon_to_cells", unit="res", level=res)
 
 
 def compact_cells(ids):

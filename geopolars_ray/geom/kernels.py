@@ -2235,6 +2235,9 @@ def _polylabel_one(segs: np.ndarray, tol: float):
 
     m = len(segs)
 
+    # not the point-in-polygon kernel (strtree.PreparedPolygons.parity_on):
+    # the search needs a signed distance, whose sign and magnitude come
+    # from the same (cells x segments) block
     def _signed_dist_block(P: np.ndarray) -> np.ndarray:
         px = P[:, 0, None]
         py = P[:, 1, None]
@@ -2572,9 +2575,9 @@ def distance(lhs: GeometryArray, rhs: GeometryArray) -> np.ndarray:
     Point⊗Point rows take the direct vectorized path; EVERY other type pair
     goes through the batched generic kernel (`_distance_generic`) — per-row
     minima over (vertex × segment) pair expansions plus vectorized
-    crossing/containment zero-distance short-circuits. The old per-row
-    Python loop (`_geom_pair_distance`, kept as the test reference) measured
-    3.7k line⊗line rows/s; the batched kernel measures ~170k (47×).
+    crossing/containment zero-distance short-circuits. A per-row Python
+    loop (the test reference) measured 3.7k line⊗line rows/s; the batched
+    kernel measures ~170k (47×).
     """
     if len(lhs) != len(rhs):
         raise ValueError("distance requires equal-length series")
@@ -2613,7 +2616,7 @@ def _ensure_closed_rings(ga: GeometryArray) -> GeometryArray:
     (first coord appended where last != first).
 
     Open rings are a supported representation elsewhere (``area`` closes
-    implicitly via the shoelace wrap, ``strtree._crossings_and_boundary``
+    implicitly via the shoelace wrap, ``strtree.PreparedPolygons.parity_on``
     appends the closing edge), but the batched distance / containment /
     scanline kernels enumerate explicit within-ring segments only — they
     normalize through here first so the implicit closing edge exists.
@@ -2775,14 +2778,14 @@ def _rows_with_crossing(A: GeometryArray, B: GeometryArray, rows: np.ndarray) ->
 
 def _repr_point_inside(pts_side: GeometryArray, poly_side: GeometryArray,
                        rows: np.ndarray) -> np.ndarray:
-    """bool per row: the first coord of ANY PART of pts_side lies strictly
-    inside poly_side's rings (vectorized even-odd ray cast over
-    (part, edge) pairs; one representative per PART, not per row — a
-    disconnected multi-part can have one part inside with no segment
-    crossing). Boundary hits are irrelevant to callers — the crossing test
-    already zeroed touching rows."""
-    b0, b1 = _coord_ranges(poly_side)
-    vb = _seg_valid(poly_side)
+    """bool per row: the first coord of ANY PART of pts_side has odd
+    crossing parity against poly_side's rings (one representative per
+    PART, not per row — a disconnected multi-part can have one part
+    inside with no segment crossing). Boundary hits are irrelevant to
+    callers — the crossing test already zeroed touching rows — so this
+    takes the parity of the point-in-polygon kernel, not its containment."""
+    from geopolars_ray.geom.strtree import PreparedPolygons
+
     inside = np.zeros(len(rows), dtype=bool)
     # expand to one entry per PART of the pts side
     parts_per = (pts_side.geom_offsets[rows + 1] - pts_side.geom_offsets[rows]).astype(np.int64)
@@ -2792,37 +2795,19 @@ def _repr_point_inside(pts_side: GeometryArray, poly_side: GeometryArray,
     part_idx = _expand_ranges(pts_side.geom_offsets[rows], pts_side.geom_offsets[rows + 1])
     repr_idx = pts_side.ring_offsets[pts_side.part_offsets[part_idx]]
     # skip empty parts (no coords)
-    nonempty = pts_side.ring_offsets[pts_side.part_offsets[part_idx] + 1] > repr_idx \
-        if len(part_idx) else np.zeros(0, bool)
+    nonempty = pts_side.ring_offsets[pts_side.part_offsets[part_idx] + 1] > repr_idx
     part_row, repr_idx = part_row[nonempty], repr_idx[nonempty]
-    ca = (repr_idx, repr_idx + 1)  # one representative vertex per part
-    cb = (b0[rows][part_row], np.maximum(b1[rows][part_row] - 1, b0[rows][part_row]))
-    for sel, vi, sj, prow in _pairs_per_row(ca, cb):
-        px = pts_side.coords[vi, 0]
-        py = pts_side.coords[vi, 1]
-        x1 = poly_side.coords[sj, 0]
-        y1 = poly_side.coords[sj, 1]
-        x2 = poly_side.coords[sj + 1, 0]
-        y2 = poly_side.coords[sj + 1, 1]
-        crosses = ((y1 > py) != (y2 > py))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-        c = crosses & (px < xint) & vb[sj]
-        counts = np.bincount(prow, minlength=len(sel))
-        off = np.zeros(len(sel), dtype=np.int64)
-        np.cumsum(counts[:-1], out=off[1:])
-        parity = np.add.reduceat(c.astype(np.int64), off) % 2 == 1
-        # sel indexes PARTS; any inside part marks its row
-        hit_rows = part_row[sel[parity]]
-        inside[hit_rows] = True
+    parity, _ = PreparedPolygons.from_geometry_array(poly_side.take(rows)).parity_on(
+        pts_side.coords[repr_idx, 0], pts_side.coords[repr_idx, 1], part_row)
+    inside[part_row[parity]] = True
     return inside
 
 
 def _distance_generic(lhs: GeometryArray, rhs: GeometryArray, rows: np.ndarray) -> np.ndarray:
     """Batched exact min distance for non-Point⊗Point rows.
 
-    The vectorized replacement of the old per-row ``_geom_pair_distance``
-    loop (same semantics, ~50× on small-geometry batches): per-row minima
+    The vectorized replacement of a per-row Python loop (same semantics,
+    ~50× on small-geometry batches): per-row minima
     over both (vertex × segment/point) pair expansions, then the two
     zero-distance short-circuits — any segment crossing/touch, and
     polygon containment of the other side's representative vertex (one
@@ -2859,36 +2844,6 @@ def _distance_generic(lhs: GeometryArray, rhs: GeometryArray, rows: np.ndarray) 
     return out
 
 
-def _geom_pair_distance(lhs: GeometryArray, rhs: GeometryArray, i: int) -> float:
-    from geopolars_ray.geom.strtree import points_in_polygon_single
-
-    lco = lhs.coord_offsets()
-    rco = rhs.coord_offsets()
-    a = lhs.coords[lco[i] : lco[i + 1]]
-    b = rhs.coords[rco[i] : rco[i + 1]]
-    if len(a) == 0 or len(b) == 0:
-        return np.nan
-    # containment -> 0 for polygon operands
-    for poly, pts in ((lhs, b), (rhs, a)):
-        side = lhs if poly is lhs else rhs
-        if side.types[i] in _POLY_TYPES:
-            rings = _rings_of(side, i)
-            if points_in_polygon_single(pts[:, 0], pts[:, 1], rings).any():
-                return 0.0
-    sl = _segments_of(lhs, i)
-    sr = _segments_of(rhs, i)
-    # any segment-segment intersection -> the geometries touch/cross -> 0
-    # (vertex-to-segment alone misses crossings between vertices)
-    if sl is not None and sr is not None and segments_cross(sl, sr):
-        return 0.0
-    da = _min_point_to_segments(a, sr) if sr is not None else np.inf
-    db = _min_point_to_segments(b, sl) if sl is not None else np.inf
-    dpt = np.min(
-        np.sqrt((a[:, None, 0] - b[None, :, 0]) ** 2 + (a[:, None, 1] - b[None, :, 1]) ** 2)
-    )
-    return float(min(da, db, dpt))
-
-
 def _rings_of(ga: GeometryArray, i: int) -> list[np.ndarray]:
     rings = []
     for p in range(ga.geom_offsets[i], ga.geom_offsets[i + 1]):
@@ -2910,23 +2865,12 @@ def _segments_of(ga: GeometryArray, i: int):
     return np.concatenate(segs, axis=0)
 
 
-def _min_point_to_segments(pts: np.ndarray, segs: np.ndarray) -> float:
-    a = segs[:, 0]  # (m,2)
-    d = segs[:, 1] - segs[:, 0]
-    L2 = (d**2).sum(axis=1)
-    ap = pts[:, None, :] - a[None, :, :]  # (n,m,2)
-    t = np.clip((ap * d[None, :, :]).sum(axis=2) / np.where(L2 == 0, 1, L2)[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    dd = pts[:, None, :] - proj
-    return float(np.sqrt((dd**2).sum(axis=2)).min())
-
-
 def _argmin_point_to_segments(pts: np.ndarray, segs: np.ndarray,
                               pair_budget: int = 8_000_000):
     """(min_dist, source_point, projected_point) over all (point, segment)
-    pairs — the arg-tracking variant of ``_min_point_to_segments``.
-    Point rows are strip-chunked to ``pair_budget`` pairs per pass so one
-    huge geometry pair can't blow the heap (same guard as hausdorff)."""
+    pairs. Point rows are strip-chunked to ``pair_budget`` pairs per pass
+    so one huge geometry pair can't blow the heap (same guard as
+    hausdorff)."""
     a = segs[:, 0]
     d = segs[:, 1] - segs[:, 0]
     L2 = (d**2).sum(axis=1)
@@ -2996,7 +2940,8 @@ def shortest_line(lhs: GeometryArray, rhs: GeometryArray) -> GeometryArray:
     (shapely ``shortest_line`` / the segment through ``nearest_points``).
     Intersecting/containing rows yield a zero-length line at a witness
     point; missing/empty rows stay missing. Endpoint order is lhs -> rhs.
-    Same candidate structure as ``distance`` (`_geom_pair_distance`), so
+    Same candidate structure as ``distance`` (vertex containment, then
+    segment touches, then vertex-to-segment minima), so
     ``euclidean_length(shortest_line(a, b)) == distance(a, b)`` by
     construction."""
     from geopolars_ray.geom.strtree import points_in_polygon_single

@@ -57,6 +57,7 @@ from geopolars_ray.geom.overlay import (
     _point_on_path,
     node_segments,
 )
+from geopolars_ray.geom.strtree import PreparedPolygons
 
 _POINTAL = (POINT, MULTIPOINT)
 _LINEAL = (LINESTRING, LINEARRING, MULTILINESTRING)
@@ -139,10 +140,6 @@ def _segments(paths_or_rings: list[list[tuple]], pol: int, closed: bool):
             if a != b:
                 segs.append((a, b, pol))
     return segs
-
-
-def _in_rings(px: float, py: float, rings: list[list[tuple]]) -> bool:
-    return _point_in_even_odd(px, py, rings)
 
 
 def _on_segs(px: float, py: float, paths: list[list[tuple]],
@@ -257,10 +254,10 @@ def _relate_AA(pa_parts: list, pb_parts: list) -> list[int]:
     ra = [r for part in pa_parts for r in part]
     rb = [r for part in pb_parts for r in part]
     a_only, b_only, shared, a_pts, b_pts = _noded(ra, rb, True, True)
-    a_in = any(_in_rings(*_mid(pq), rings=rb) for pq in a_only)
-    a_out = any(not _in_rings(*_mid(pq), rings=rb) for pq in a_only)
-    b_in = any(_in_rings(*_mid(pq), rings=ra) for pq in b_only)
-    b_out = any(not _in_rings(*_mid(pq), rings=ra) for pq in b_only)
+    a_in = any(_point_in_even_odd(*_mid(pq), rings=rb) for pq in a_only)
+    a_out = any(not _point_in_even_odd(*_mid(pq), rings=rb) for pq in a_only)
+    b_in = any(_point_in_even_odd(*_mid(pq), rings=ra) for pq in b_only)
+    b_out = any(not _point_in_even_odd(*_mid(pq), rings=ra) for pq in b_only)
     # Boundary pieces alone cannot side a PART whose rings are entirely
     # shared with the other operand (donut vs hole-plug; a fully-shared
     # component inside a larger multipolygon) — probe EVERY part's
@@ -272,7 +269,7 @@ def _relate_AA(pa_parts: list, pb_parts: list) -> list[int]:
         v = _interior_probe(part)
         if v is None or any(_point_on_path(v[0], v[1], r, True) for r in rb):
             continue
-        if _in_rings(v[0], v[1], rb):
+        if _point_in_even_odd(v[0], v[1], rb):
             pa_in = True
         else:
             pa_out = True
@@ -280,7 +277,7 @@ def _relate_AA(pa_parts: list, pb_parts: list) -> list[int]:
         v = _interior_probe(part)
         if v is None or any(_point_on_path(v[0], v[1], r, True) for r in ra):
             continue
-        if _in_rings(v[0], v[1], ra):
+        if _point_in_even_odd(v[0], v[1], ra):
             pb_in = True
         else:
             pb_out = True
@@ -302,7 +299,7 @@ def _relate_LA(paths: list, rings: list) -> list[int]:
     """A = lineal, B = areal."""
     a_only, b_only, shared, a_pts, b_pts = _noded(paths, rings, False, True)
     bnd = _canon_set(_mod2_endpoints(paths), a_pts, _snap_tol(paths + rings))
-    mid_in = [_in_rings(*_mid(pq), rings=rings) for pq in a_only]
+    mid_in = [_point_in_even_odd(*_mid(pq), rings=rings) for pq in a_only]
     ii = 1 if any(mid_in) else -1
     ie = 1 if any(not m for m in mid_in) else -1
     if shared:
@@ -311,10 +308,10 @@ def _relate_LA(paths: list, rings: list) -> list[int]:
         # noded vertices on B's boundary that are interior to the line
         touch = {v for v in (a_pts & b_pts) if v not in bnd}
         ib = 0 if touch else -1
-    bi = 0 if any(_in_rings(px, py, rings) and not _on_segs(px, py, rings, True)
+    bi = 0 if any(_point_in_even_odd(px, py, rings) and not _on_segs(px, py, rings, True)
                   for px, py in bnd) else -1
     bb = 0 if any(_on_segs(px, py, rings, True) for px, py in bnd) else -1
-    be = 0 if any(not _in_rings(px, py, rings) and
+    be = 0 if any(not _point_in_even_odd(px, py, rings) and
                   not _on_segs(px, py, rings, True) for px, py in bnd) else -1
     eb = 1 if b_only else -1
     return [ii, ib, ie, bi, bb, be, 2, eb, 2]
@@ -369,7 +366,7 @@ def _relate_PA(pts: set, rings: list) -> list[int]:
     for px, py in pts:
         if _on_segs(px, py, rings, True):
             bnd = True
-        elif _in_rings(px, py, rings):
+        elif _point_in_even_odd(px, py, rings):
             inside = True
         else:
             off = True
@@ -642,22 +639,6 @@ def _simple_rings(ga: GeometryArray):
     return cand
 
 
-def _pip_parity(px, py, coords, starts, counts) -> np.ndarray:
-    """Even-odd parity of one probe point per row against that row's
-    closed ring (``counts`` = segment counts), flattened-vectorized."""
-    rep = np.repeat(np.arange(len(starts)), counts)
-    base = np.concatenate([[0], np.cumsum(counts)])[:-1]
-    seg = np.arange(len(rep)) - base[rep] + starts[rep]
-    x1, y1 = coords[seg, 0], coords[seg, 1]
-    x2, y2 = coords[seg + 1, 0], coords[seg + 1, 1]
-    PX, PY = px[rep], py[rep]
-    crosses = (y1 > PY) != (y2 > PY)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = x1 + (PY - y1) * (x2 - x1) / (y2 - y1)
-    hit = crosses & (PX < xint)
-    return np.add.reduceat(hit.astype(np.int64), np.concatenate([[0], np.cumsum(counts)])[:-1]) % 2 == 1
-
-
 _AA_OVERLAP = np.array([2, 1, 2, 1, 0, 1, 2, 1, 2], dtype=np.int64)
 _AA_A_IN_B = np.array([2, -1, -1, 1, -1, -1, 2, 1, 2], dtype=np.int64)
 _AA_B_IN_A = np.array([2, 1, 2, -1, -1, 1, -1, -1, 2], dtype=np.int64)
@@ -800,10 +781,11 @@ def _poly_pair_classify(ga: GeometryArray, gb: GeometryArray,
     if len(nc):
         r = rows_d[nc]
         # no boundary contact: one vertex probe per side decides the part
-        a_in = _pip_parity(ga.coords[coa[r], 0], ga.coords[coa[r], 1],
-                           gb.coords, cob[r], (cob[r + 1] - cob[r]) - 1)
-        b_in = _pip_parity(gb.coords[cob[r], 0], gb.coords[cob[r], 1],
-                           ga.coords, coa[r], (coa[r + 1] - coa[r]) - 1)
+        # (single closed rings: the kernel's parity is the ring's)
+        a_in, _ = PreparedPolygons.from_geometry_array(gb.take(r)).parity_on(
+            ga.coords[coa[r], 0], ga.coords[coa[r], 1], np.arange(len(r)))
+        b_in, _ = PreparedPolygons.from_geometry_array(ga.take(r)).parity_on(
+            gb.coords[cob[r], 0], gb.coords[cob[r], 1], np.arange(len(r)))
         sub = np.where(a_in[:, None], _AA_A_IN_B,
                        np.where(b_in[:, None], _AA_B_IN_A, _AA_DISJOINT))
         M[nc] = sub
@@ -948,8 +930,8 @@ def _matrix_table(ga: GeometryArray, gb: GeometryArray, vertex_budget=None):
             if not safe.any():
                 continue
             sidx = idx[safe]
-            inside = _pip_parity(px_[sidx], py_[sidx], gpoly.coords,
-                                 co[sidx], (co[sidx + 1] - co[sidx]) - 1)
+            inside, _ = PreparedPolygons.from_geometry_array(gpoly.take(sidx)).parity_on(
+                px_[sidx], py_[sidx], np.arange(len(sidx)))
             mats = np.where(inside[:, None], _PA_INSIDE, _PA_OUTSIDE)
             if flip:
                 mats = mats[:, _TRANSPOSE_IDX]

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tiles import polygon_grid_cells
+
 LOOKUP_BITS = 4
 SWAP_MASK = 1
 INVERT_MASK = 2
@@ -440,64 +442,10 @@ def polygon_covering(rings, level: int = 12, max_cells: int = 2_000_000,
     after; planar containment — split transmeridian polygons first.  Cost
     is O(output), not O(bbox); ``max_cells`` is a loud budget.
     """
-    if mode not in ("center", "cover"):
-        raise ValueError(f"unknown polygon_covering mode {mode!r}")
-    from .strtree import points_in_polygon_single
-
-    rings = [np.asarray(r, dtype=np.float64) for r in rings if len(r) >= 3]
-    if not rings:
-        return np.empty(0, dtype=np.uint64)
-    pitch_deg = np.degrees(4.0 / (9.0 * (1 << level)))
-
-    def inside(cells):
-        lo, la = cell_center_lonlat(cells)
-        return points_in_polygon_single(lo, la, rings)
-
-    pts_lon, pts_lat = [], []
-    for ring in rings:
-        a = ring
-        b = np.roll(ring, -1, axis=0)
-        seg = np.hypot((b[:, 0] - a[:, 0]) * np.cos(np.radians((a[:, 1] + b[:, 1]) / 2)),
-                       b[:, 1] - a[:, 1])
-        nstep = np.maximum(1, np.ceil(seg / (0.3 * pitch_deg)).astype(np.int64))
-        for s in range(len(a)):
-            t = np.linspace(0.0, 1.0, int(nstep[s]) + 1)
-            pts_lon.append(a[s, 0] + t * (b[s, 0] - a[s, 0]))
-            pts_lat.append(a[s, 1] + t * (b[s, 1] - a[s, 1]))
-    lon = np.concatenate(pts_lon)
-    lat = np.concatenate(pts_lat)
-    if len(lon) > 50 * max_cells:
-        raise ValueError(f"polygon_covering: boundary tracing needs {len(lon)} "
-                         f"samples (> 50*max_cells); raise max_cells or lower level")
-    boundary = np.unique(s2_cell_id(lon, lat, level))
-    nb1 = np.unique(edge_neighbors(boundary).ravel())
-    ring_zone = np.unique(np.concatenate(
-        [boundary, nb1, edge_neighbors(nb1).ravel()]))
-
-    # BFS with vectorized bookkeeping: ``visited`` tracks every TESTED cell
-    # (so outside cells are PIP-tested once, not once per adjacent frontier),
-    # ``keep`` accumulates the inside ones; both sorted arrays + np.isin.
-    keep = ring_zone[inside(ring_zone)]
-    visited = ring_zone                      # already unique-sorted
-    frontier = keep
-    while len(frontier):
-        nb = np.unique(edge_neighbors(frontier).ravel())
-        fresh = nb[~np.isin(nb, visited, assume_unique=True)]
-        if not len(fresh):
-            break
-        visited = np.sort(np.concatenate([visited, fresh]))
-        new = fresh[inside(fresh)]
-        keep = np.concatenate([keep, new])
-        if len(keep) > max_cells:
-            raise ValueError(f"polygon_covering exceeded max_cells={max_cells} "
-                             f"at level {level}; raise the budget explicitly")
-        frontier = new
-    if mode == "cover":
-        keep = np.unique(np.concatenate([keep, ring_zone]))
-        if len(keep) > max_cells:
-            raise ValueError(f"polygon_covering exceeded max_cells={max_cells} "
-                             f"at level {level}; raise the budget explicitly")
-    return np.unique(keep)
+    return polygon_grid_cells(
+        rings, np.degrees(4.0 / (9.0 * (1 << level))), lambda lon, lat: s2_cell_id(lon, lat, level),
+        cell_center_lonlat, edge_neighbors,
+        zone_hops=2, max_cells=max_cells, mode=mode, name="polygon_covering", unit="level", level=level)
 
 
 def cell_area(cell_id: np.ndarray, radius_km: float = 6371.0088) -> np.ndarray:

@@ -15,11 +15,13 @@ Two indexes, two roles:
   candidate generator for point-in-polygon joins (candidate lookup for a
   whole batch of points is pure vectorized indexing, no per-point tree walk).
 
-Exact refinement: :func:`points_in_polygon` implements boundary-*exclusive*
-containment (even-odd crossing parity minus on-boundary points), matching the
-geo crate's ``contains`` behavior that the reference's golden join fixture
-depends on (boundary-touching points do NOT match —
-`spatial_index.rs:479-480`, FIXTURES.md F5).
+Exact refinement: :class:`PreparedPolygons` holds the engine's one vectorised
+point-in-polygon kernel (:meth:`PreparedPolygons.parity_on`, over (pair x
+edge) arrays). Its containment is boundary-*exclusive* (even-odd crossing
+parity minus on-boundary points), matching the geo crate's ``contains``
+behavior that the reference's golden join fixture depends on
+(boundary-touching points do NOT match — `spatial_index.rs:479-480`,
+FIXTURES.md F5). :func:`points_in_polygon_single` is its one-polygon call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from geopolars_ray.geom.array import GeometryArray, _expand_cell_rects, _expand_ranges
+from geopolars_ray.geom.array import POLYGON, GeometryArray, _expand_cell_rects, _expand_ranges
 from geopolars_ray.geom import kernels
 
 _NODE_CAP = 16
@@ -40,89 +42,9 @@ _NODE_CAP = 16
 # --------------------------------------------------------------------------
 
 
-def _crossings_and_boundary(px, py, ring: np.ndarray):
-    """(crossing_count, on_boundary) of points vs one ring, vectorized.
-
-    px, py: (n,) point coords; ring: (m, 2) ring coords (closed or open).
-    """
-    x1, y1 = ring[:-1, 0], ring[:-1, 1]
-    x2, y2 = ring[1:, 0], ring[1:, 1]
-    if len(ring) >= 2 and not (ring[0] == ring[-1]).all():
-        x1 = np.append(x1, ring[-1, 0])
-        y1 = np.append(y1, ring[-1, 1])
-        x2 = np.append(x2, ring[0, 0])
-        y2 = np.append(y2, ring[0, 1])
-    px = px[:, None]
-    py = py[:, None]
-    # crossing test (half-open rule avoids double counting at vertices)
-    cond = (y1[None, :] > py) != (y2[None, :] > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_at = (x2 - x1)[None, :] * (py - y1[None, :]) / np.where(y2 == y1, 1.0, y2 - y1)[None, :] + x1[None, :]
-    crossings = (cond & (px < x_at)).sum(axis=1)
-    # on-boundary test: colinear and within segment bbox
-    cross = (x2 - x1)[None, :] * (py - y1[None, :]) - (y2 - y1)[None, :] * (px - x1[None, :])
-    within = (
-        (px >= np.minimum(x1, x2)[None, :])
-        & (px <= np.maximum(x1, x2)[None, :])
-        & (py >= np.minimum(y1, y2)[None, :])
-        & (py <= np.maximum(y1, y2)[None, :])
-    )
-    on_boundary = ((cross == 0.0) & within).any(axis=1)
-    return crossings, on_boundary
-
-
-def points_in_polygon_single(px: np.ndarray, py: np.ndarray, rings: list[np.ndarray]) -> np.ndarray:
-    """Boundary-exclusive containment of points in one (multi)polygon.
-
-    Even-odd parity across ALL rings (exterior(s) + holes of every part), so
-    holes and disjoint parts fall out of the parity automatically.
-    """
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    total = np.zeros(len(px), dtype=np.int64)
-    boundary = np.zeros(len(px), dtype=bool)
-    for ring in rings:
-        if len(ring) < 3:
-            continue
-        c, b = _crossings_and_boundary(px, py, ring)
-        total += c
-        boundary |= b
-    return (total % 2 == 1) & ~boundary
-
-
-def points_dwithin_rings(px: np.ndarray, py: np.ndarray, rings: list[np.ndarray],
-                         distance: float) -> np.ndarray:
-    """contains OR boundary within ``distance`` — the ST_DWithin test.
-
-    Interior points hit via the PIP test; the rest take one vectorized
-    (points x boundary segments) min-distance block (the grouped-by-polygon
-    refine shape, so the block is candidates-of-one-polygon sized, never
-    batch sized)."""
-    hit = points_in_polygon_single(px, py, rings)
-    todo = ~hit
-    if not todo.any():
-        return hit
-    segs_a, segs_b = [], []
-    for ring in rings:
-        if len(ring) >= 2:
-            segs_a.append(ring[:-1])
-            segs_b.append(ring[1:])
-    if not segs_a:
-        return hit
-    a = np.concatenate(segs_a)
-    dv = np.concatenate(segs_b) - a
-    L2 = (dv**2).sum(axis=1)
-    p = np.column_stack([np.asarray(px, np.float64)[todo], np.asarray(py, np.float64)[todo]])
-    ap = p[:, None, :] - a[None, :, :]
-    t = np.clip((ap * dv[None, :, :]).sum(axis=2) / np.where(L2 == 0, 1, L2)[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * dv[None, :, :]
-    dd2 = ((p[:, None, :] - proj) ** 2).sum(axis=2)
-    hit[todo] = dd2.min(axis=1) <= distance * distance
-    return hit
-
-
-# pair x edge elements one refine block holds: bounds the temporaries of
-# PreparedPolygons.match (about ten float64 / bool arrays of this length)
+# pair x edge elements one kernel block holds: bounds the temporaries of
+# PreparedPolygons.parity_on / _near (about ten float64 / bool arrays of
+# this length), whatever the point count or polygon size
 _PAIR_EDGE_BLOCK = 1 << 20
 # the bbox prefilter pads each box by this share of its largest coordinate
 # (plus the distance): far above the few-ulp rounding of the exact tests,
@@ -144,7 +66,8 @@ def _pair_blocks(starts: np.ndarray, stops: np.ndarray):
         return
     cum = np.cumsum(counts[nz])
     cuts = np.searchsorted(cum, np.arange(_PAIR_EDGE_BLOCK, int(cum[-1]), _PAIR_EDGE_BLOCK), side="right")
-    for lo, hi in zip(np.r_[0, cuts].tolist(), np.r_[cuts, len(nz)].tolist()):
+    ends = [0, *cuts.tolist(), len(nz)]
+    for lo, hi in zip(ends[:-1], ends[1:]):
         if lo == hi:
             continue
         pairs = nz[lo:hi]
@@ -154,13 +77,29 @@ def _pair_blocks(starts: np.ndarray, stops: np.ndarray):
         yield pairs, c, _expand_ranges(starts[pairs], stops[pairs]), heads
 
 
+def points_in_polygon_single(px: np.ndarray, py: np.ndarray, rings: list[np.ndarray]) -> np.ndarray:
+    """Boundary-exclusive containment of points in one (multi)polygon.
+
+    Even-odd parity across ALL rings (exterior(s) + holes of every part), so
+    holes and disjoint parts fall out of the parity automatically. The
+    one-polygon call of :meth:`PreparedPolygons.parity_on`, for per-row
+    callers; a caller testing many points against one polygon builds it
+    once and calls :meth:`PreparedPolygons.hits`, whose bbox prefilter
+    skips the far points.
+    """
+    px = np.asarray(px, dtype=np.float64)
+    parity, on = PreparedPolygons.from_polygons([rings]).parity_on(px, py, np.zeros(len(px), dtype=np.int64))
+    return parity & ~on
+
+
 @dataclass
 class PreparedPolygons:
     """Pickle-friendly polygon set for repeated containment tests.
 
-    Built once (driver or actor ``__init__``) from a polygon GeometryArray;
-    per-polygon ring slices are stored as flat arrays. The edge tables
-    ``match`` reads are built on first use and kept with the object.
+    Built once (by the caller or in an actor's ``__init__``) from a polygon
+    GeometryArray or from ring lists; per-polygon ring slices are stored as
+    flat arrays. The edge tables the kernels read are built on first use
+    and kept with the object.
     """
 
     n: int
@@ -181,14 +120,19 @@ class PreparedPolygons:
             bounds=np.column_stack([xmin, ymin, xmax, ymax]),
         )
 
-    def rings_of(self, i: int) -> list[np.ndarray]:
-        out = []
-        for r in range(self.rings_per_poly_offsets[i], self.rings_per_poly_offsets[i + 1]):
-            out.append(self.ring_coords[self.ring_offsets[r] : self.ring_offsets[r + 1]])
-        return out
-
-    def contains_points(self, i: int, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        return points_in_polygon_single(px, py, self.rings_of(i))
+    @classmethod
+    def from_polygons(cls, polygons: list[list[np.ndarray]]) -> "PreparedPolygons":
+        """One polygon per entry of ``polygons``, each a list of (m, 2)
+        rings: shell(s) and holes in any order, as containment is even-odd
+        over all of them."""
+        rings = [np.asarray(r, dtype=np.float64).reshape(-1, 2) for p in polygons for r in p]
+        return cls.from_geometry_array(GeometryArray(
+            types=np.full(len(polygons), POLYGON),
+            geom_offsets=np.arange(len(polygons) + 1),
+            part_offsets=np.cumsum([0] + [len(p) for p in polygons]),
+            ring_offsets=np.cumsum([0] + [len(r) for r in rings]),
+            coords=np.concatenate(rings) if rings else np.empty((0, 2)),
+        ))
 
     def _rings(self, min_len: int):
         """(polygon, start, stop) of every ring with >= ``min_len`` coords,
@@ -207,9 +151,9 @@ class PreparedPolygons:
 
     @cached_property
     def _pip_edges(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """The edges ``points_in_polygon_single`` tests, CSR by polygon:
-        rings of >= 3 coords, an open ring closed by an extra last edge,
-        with the per-edge terms of ``_crossings_and_boundary``."""
+        """The edges ``parity_on`` tests, CSR by polygon: rings of >= 3
+        coords, an open ring closed by an extra last edge, with their
+        per-edge terms."""
         poly, start, stop = self._rings(3)
         c = self.ring_coords
         is_open = ~(c[start] == c[stop - 1]).all(axis=1)
@@ -229,8 +173,8 @@ class PreparedPolygons:
 
     @cached_property
     def _dwithin_segments(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """The segments ``points_dwithin_rings`` measures, CSR by polygon:
-        rings of >= 2 coords, open rings left open."""
+        """The segments ``_near`` measures, CSR by polygon: rings of >= 2
+        coords, open rings left open."""
         poly, start, stop = self._rings(2)
         c = self.ring_coords
         a = _expand_ranges(start, stop - 1)
@@ -240,35 +184,49 @@ class PreparedPolygons:
         segs = dict(ax=ax, ay=ay, dvx=dvx, dvy=dvy, den=np.where(L2 == 0, 1, L2))
         return self._edge_offsets(poly, stop - start - 1), segs
 
-    def _contains(self, x: np.ndarray, y: np.ndarray, poly: np.ndarray) -> np.ndarray:
-        """Boundary-exclusive containment of pair k's point ``(x[k], y[k])``
-        in polygon ``poly[k]``: ``points_in_polygon_single`` per pair, with
-        its per-element arithmetic over the (pair x edge) arrays."""
+    def parity_on(self, x: np.ndarray, y: np.ndarray, poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The containment kernel: ``(parity, on)`` per pair k of point
+        ``(x[k], y[k])`` and polygon ``poly[k]``.
+
+        ``parity`` is the even-odd count of the polygon's edges that a
+        rightward ray from the point crosses (half-open in y, so a vertex
+        counts once); ``on`` is whether the point lies on an edge. Both
+        run over every ring of >= 3 coords, an open ring closed by an extra
+        edge; an edge with a NaN coordinate crosses and touches nothing.
+        Boundary-exclusive containment is ``parity & ~on``. The work runs
+        over (pair x edge) arrays in blocks of ``_PAIR_EDGE_BLOCK``
+        elements, reduced per pair."""
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        poly = np.asarray(poly, dtype=np.int64)
         off, e = self._pip_edges
-        out = np.zeros(len(poly), dtype=bool)
-        for pairs, counts, k, heads in _pair_blocks(off[poly], off[poly + 1]):
-            X = np.repeat(x[pairs], counts)
-            Y = np.repeat(y[pairs], counts)
-            y1 = e["y1"][k]
-            dy_p = Y - y1
-            # crossing test (half-open rule avoids double counting at vertices)
-            cond = (y1 > Y) != (e["y2"][k] > Y)
-            x1 = e["x1"][k]
-            dx = e["dx"][k]
-            x_at = dx * dy_p / e["den"][k] + x1
-            parity = np.logical_xor.reduceat(cond & (X < x_at), heads)
-            # on-boundary test: colinear and within the segment bbox
-            w = np.flatnonzero((X >= e["xlo"][k]) & (X <= e["xhi"][k])
-                               & (Y >= e["ylo"][k]) & (Y <= e["yhi"][k]))
-            on = np.zeros(len(k), dtype=bool)
-            on[w] = dx[w] * dy_p[w] - e["dy"][k[w]] * (X[w] - x1[w]) == 0.0
-            out[pairs] = parity & ~np.logical_or.reduceat(on, heads)
-        return out
+        parity = np.zeros(len(poly), dtype=bool)
+        on = np.zeros(len(poly), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for pairs, counts, k, heads in _pair_blocks(off[poly], off[poly + 1]):
+                X = np.repeat(x[pairs], counts)
+                Y = np.repeat(y[pairs], counts)
+                y1 = e["y1"][k]
+                dy_p = Y - y1
+                # crossing test (half-open rule avoids double counting at vertices)
+                cond = (y1 > Y) != (e["y2"][k] > Y)
+                x1 = e["x1"][k]
+                dx = e["dx"][k]
+                x_at = dx * dy_p / e["den"][k] + x1
+                parity[pairs] = np.logical_xor.reduceat(cond & (X < x_at), heads)
+                # on-boundary test: colinear and within the segment bbox
+                w = np.flatnonzero((X >= e["xlo"][k]) & (X <= e["xhi"][k])
+                                   & (Y >= e["ylo"][k]) & (Y <= e["yhi"][k]))
+                hit = np.zeros(len(k), dtype=bool)
+                hit[w] = dx[w] * dy_p[w] - e["dy"][k[w]] * (X[w] - x1[w]) == 0.0
+                on[pairs] = np.logical_or.reduceat(hit, heads)
+        return parity, on
 
     def _near(self, x: np.ndarray, y: np.ndarray, poly: np.ndarray, distance: float) -> np.ndarray:
         """Whether pair k's point lies within ``distance`` of a boundary
-        segment of polygon ``poly[k]``: the (points x segments) block of
-        ``points_dwithin_rings`` per pair, same per-element arithmetic."""
+        segment of polygon ``poly[k]``: the distance half of the kernel,
+        over the same (pair x edge) blocks. It measures the segments of
+        ``_dwithin_segments``, not the edges ``parity_on`` tests."""
         off, s = self._dwithin_segments
         out = np.zeros(len(poly), dtype=bool)
         for pairs, counts, k, heads in _pair_blocks(off[poly], off[poly + 1]):
@@ -280,41 +238,52 @@ class PreparedPolygons:
             out[pairs] = np.minimum.reduceat(dd2, heads) <= distance * distance
         return out
 
-    def match(self, point_idx: np.ndarray, poly_idx: np.ndarray, px: np.ndarray, py: np.ndarray,
-              distance: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Refine candidate (point, polygon) pairs: the matching pairs as
-        ``(points, polys)``.
+    def hits(self, x: np.ndarray, y: np.ndarray, poly: np.ndarray,
+             distance: float | None = None) -> np.ndarray:
+        """bool per pair k: whether point ``(x[k], y[k])`` matches polygon
+        ``poly[k]``. ``distance=None`` is boundary-exclusive containment;
+        ``distance >= 0`` is inside OR within ``distance`` of the boundary
+        (0 included).
 
-        ``px[point_idx[k]], py[point_idx[k]]`` is tested against polygon
-        ``poly_idx[k]``. ``distance=None`` is boundary-exclusive
-        containment (``points_in_polygon_single``); ``distance >= 0`` is
-        inside OR within ``distance`` of the boundary
-        (``points_dwithin_rings``, 0 included). The answers are those
-        functions' answers, bit for bit; the result comes out with polygon
-        ids ascending and, within a polygon, points in candidate order.
-
-        One pass over all pairs: a pair whose point lies outside the
-        polygon's closed bbox (padded by ``distance`` and a rounding slack)
-        is dropped, the rest run the exact tests over (pair x edge) arrays,
-        reduced per pair."""
-        point_idx = np.asarray(point_idx, dtype=np.int64)
-        poly_idx = np.asarray(poly_idx, dtype=np.int64)
-        x = np.asarray(px, dtype=np.float64)[point_idx]
-        y = np.asarray(py, dtype=np.float64)[point_idx]
+        A pair whose point lies outside the polygon's closed bbox (padded by
+        ``distance`` and a rounding slack) is False without the exact test,
+        which cannot change its answer: a point left of the box crosses
+        each closed ring an even number of times."""
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        poly = np.asarray(poly, dtype=np.int64)
         pad = 0.0 if distance is None else float(distance)
         b = self.bounds
         # NaN bounds (or coords) compare False, so such pairs stay for the exact test
         slack = pad + _BBOX_SLACK * (np.abs(b).max(axis=1) + pad)
-        lo_x, lo_y = (b[:, 0] - slack)[poly_idx], (b[:, 1] - slack)[poly_idx]
-        hi_x, hi_y = (b[:, 2] + slack)[poly_idx], (b[:, 3] + slack)[poly_idx]
+        lo_x, lo_y = (b[:, 0] - slack)[poly], (b[:, 1] - slack)[poly]
+        hi_x, hi_y = (b[:, 2] + slack)[poly], (b[:, 3] + slack)[poly]
         cand = np.flatnonzero(~((x < lo_x) | (x > hi_x) | (y < lo_y) | (y > hi_y)))
-        x, y, poly = x[cand], y[cand], poly_idx[cand]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            hit = self._contains(x, y, poly)
-            if distance is not None:
-                rest = np.flatnonzero(~hit)
-                hit[rest] = self._near(x[rest], y[rest], poly[rest], float(distance))
-        keep = cand[hit]
+        x, y, p = x[cand], y[cand], poly[cand]
+        parity, on = self.parity_on(x, y, p)
+        hit = parity & ~on
+        if distance is not None:
+            rest = np.flatnonzero(~hit)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                hit[rest] = self._near(x[rest], y[rest], p[rest], float(distance))
+        out = np.zeros(len(poly), dtype=bool)
+        out[cand] = hit
+        return out
+
+    def match(self, point_idx: np.ndarray, poly_idx: np.ndarray, px: np.ndarray, py: np.ndarray,
+              distance: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Refine candidate (point, polygon) pairs: the matching pairs as
+        ``(points, polys)``, with polygon ids ascending and, within a
+        polygon, points in candidate order.
+
+        ``px[point_idx[k]], py[point_idx[k]]`` is tested against polygon
+        ``poly_idx[k]`` by ``hits`` (``distance`` as there), in one pass
+        over all pairs."""
+        point_idx = np.asarray(point_idx, dtype=np.int64)
+        poly_idx = np.asarray(poly_idx, dtype=np.int64)
+        x = np.asarray(px, dtype=np.float64)[point_idx]
+        y = np.asarray(py, dtype=np.float64)[point_idx]
+        keep = np.flatnonzero(self.hits(x, y, poly_idx, distance))
         keep = keep[np.argsort(poly_idx[keep], kind="stable")]
         return point_idx[keep], poly_idx[keep]
 

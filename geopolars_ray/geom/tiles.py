@@ -298,3 +298,79 @@ def quadkey_decode(qk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lon = x * 360.0 - 180.0
     lat = np.degrees(np.arctan(np.sinh(np.pi * (1.0 - 2.0 * y))))
     return lon, lat
+
+
+def polygon_grid_cells(rings, pitch_deg: float, cell_of, center_of, neighbors_of, zone_hops: int,
+                       max_cells: int, mode: str, name: str, unit: str, level: int) -> np.ndarray:
+    """Cells of a hierarchical grid (H3, S2) for a (lon, lat) polygon: the
+    algorithm behind ``h3.polygon_to_cells`` and ``s2.polygon_covering``.
+
+    Every ring edge is sampled at <= 0.3 ``pitch_deg`` steps, and the
+    sampled cells (``cell_of(lon, lat)``) plus ``zone_hops`` rings of
+    ``neighbors_of(cells) -> (n, k)`` neighbours form the ring zone. An
+    inward flood fill from the ring-zone cells whose centre
+    (``center_of(cells) -> (lon, lat)``) lies inside the polygon keeps
+    every centre-inside cell it reaches; each cell is tested once.
+    ``mode="center"`` returns those cells, ``mode="cover"`` adds the
+    whole ring zone. ``rings`` are (N, 2) arrays, exterior first, holes
+    after, with planar containment. ``max_cells`` is a loud budget;
+    ``name``, ``unit`` and ``level`` word its errors."""
+    if mode not in ("center", "cover"):
+        raise ValueError(f"unknown {name} mode {mode!r}")
+    from geopolars_ray.geom.strtree import PreparedPolygons
+
+    rings = [np.asarray(r, dtype=np.float64) for r in rings if len(r) >= 3]
+    if not rings:
+        return np.empty(0, dtype=np.uint64)
+    prep = PreparedPolygons.from_polygons([rings])
+
+    def inside(cells):
+        lo, la = center_of(cells)
+        return prep.hits(lo, la, np.zeros(len(lo), dtype=np.int64))
+
+    def over_budget(n):
+        if n > max_cells:
+            raise ValueError(f"{name} exceeded max_cells={max_cells} "
+                             f"at {unit} {level}; raise the budget explicitly")
+
+    pts_lon, pts_lat = [], []
+    for ring in rings:
+        a = ring
+        b = np.roll(ring, -1, axis=0)
+        seg = np.hypot((b[:, 0] - a[:, 0]) * np.cos(np.radians((a[:, 1] + b[:, 1]) / 2)),
+                       b[:, 1] - a[:, 1])
+        nstep = np.maximum(1, np.ceil(seg / (0.3 * pitch_deg)).astype(np.int64))
+        for s in range(len(a)):
+            t = np.linspace(0.0, 1.0, int(nstep[s]) + 1)
+            pts_lon.append(a[s, 0] + t * (b[s, 0] - a[s, 0]))
+            pts_lat.append(a[s, 1] + t * (b[s, 1] - a[s, 1]))
+    lon = np.concatenate(pts_lon)
+    lat = np.concatenate(pts_lat)
+    if len(lon) > 50 * max_cells:
+        raise ValueError(f"{name}: boundary tracing needs {len(lon)} "
+                         f"samples (> 50*max_cells); raise max_cells or lower {unit}")
+    zone = [np.unique(cell_of(lon, lat))]
+    for _ in range(zone_hops):
+        zone.append(np.unique(neighbors_of(zone[-1]).ravel()))
+    ring_zone = np.unique(np.concatenate(zone))
+
+    # BFS with vectorized bookkeeping: ``visited`` tracks every TESTED cell
+    # (so outside cells are PIP-tested once, not once per adjacent frontier),
+    # ``keep`` accumulates the inside ones; both sorted arrays + np.isin.
+    keep = ring_zone[inside(ring_zone)]
+    visited = ring_zone                      # already unique-sorted
+    frontier = keep
+    while len(frontier):
+        nb = np.unique(neighbors_of(frontier).ravel())
+        fresh = nb[~np.isin(nb, visited, assume_unique=True)]
+        if not len(fresh):
+            break
+        visited = np.sort(np.concatenate([visited, fresh]))
+        new = fresh[inside(fresh)]
+        keep = np.concatenate([keep, new])
+        over_budget(len(keep))
+        frontier = new
+    if mode == "cover":
+        keep = np.unique(np.concatenate([keep, ring_zone]))
+        over_budget(len(keep))
+    return np.unique(keep)

@@ -232,12 +232,6 @@ def _rings_of_row(ga: GeometryArray, i: int) -> list[list[np.ndarray]]:
     return out
 
 
-def _on_ring(px: float, py: float, ring: np.ndarray) -> bool:
-    """True when (px, py) lies ON the closed ring's boundary (vertex or
-    edge interior) — delegates to the shared exact test."""
-    return _point_on_path(px, py, ring, closed=True)
-
-
 def _probe_off(ring: np.ndarray, others: list) -> tuple[float, float] | None:
     """A point of ``ring`` that does NOT lie on the boundary of ANY ring
     in ``others``: first such vertex, else the first edge midpoint off
@@ -248,20 +242,15 @@ def _probe_off(ring: np.ndarray, others: list) -> tuple[float, float] | None:
     violations)."""
     for k in range(len(ring)):
         px, py = float(ring[k, 0]), float(ring[k, 1])
-        if not any(_on_ring(px, py, o) for o in others):
+        if not any(_point_on_path(px, py, o, closed=True) for o in others):
             return (px, py)
     n = len(ring)
     for k in range(n):
         px = (float(ring[k, 0]) + float(ring[(k + 1) % n, 0])) / 2.0
         py = (float(ring[k, 1]) + float(ring[(k + 1) % n, 1])) / 2.0
-        if not any(_on_ring(px, py, o) for o in others):
+        if not any(_point_on_path(px, py, o, closed=True) for o in others):
             return (px, py)
     return None
-
-
-def _in_rings(px: float, py: float, rings: list) -> bool:
-    """Even-odd membership over a ring set (shared impl in overlay)."""
-    return _point_in_even_odd(px, py, rings)
 
 
 def _ring_vertex_on_edge(r: np.ndarray):
@@ -360,7 +349,7 @@ def _check_polygonal(parts: list[list[np.ndarray]]) -> str:
             # "inside the element's region" directly (a shell sitting in
             # pj's hole is fine; inside its filled region is not)
             probe = _probe_off(shell_i, cleaned[pj])
-            if probe is not None and _in_rings(probe[0], probe[1], cleaned[pj]):
+            if probe is not None and _point_in_even_odd(probe[0], probe[1], cleaned[pj]):
                 return f"Nested shells[{probe[0]:g} {probe[1]:g}]"
     return VALID
 

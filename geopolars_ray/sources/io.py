@@ -76,15 +76,13 @@ def mask_filter(mask, geometry_col: str = "geometry"):
     from geopolars_ray.geom import decode_wkb
     from geopolars_ray.geom import kernels as K
     from geopolars_ray.geom.array import POINT, POLYGON, MULTIPOLYGON
-    from geopolars_ray.geom.strtree import points_in_polygon_single
+    from geopolars_ray.geom.strtree import PreparedPolygons
 
     mga = _as_geometry_array(mask)
     mx0, my0, mx1, my1 = (float(v[0]) for v in K.bounds(mga))
-    mask_rings = None
+    mask_prep = None
     if int(mga.types[0]) in (POLYGON, MULTIPOLYGON):
-        from geopolars_ray.geom.kernels import _rings_of
-
-        mask_rings = _rings_of(mga, 0)
+        mask_prep = PreparedPolygons.from_polygons([K._rings_of(mga, 0)])
 
     def fn(batch: pa.Table) -> pa.Table:
         ga = decode_wkb(batch[geometry_col])
@@ -94,13 +92,12 @@ def mask_filter(mask, geometry_col: str = "geometry"):
         keep = np.zeros(len(ga), dtype=bool)
         idx = np.flatnonzero(cand)
         if len(idx):
-            if mask_rings is not None:
+            if mask_prep is not None:
                 pts = idx[ga.types[idx] == POINT]
                 if len(pts):
                     co = ga.coord_offsets()[:-1]
-                    keep[pts] = points_in_polygon_single(
-                        ga.coords[co[pts], 0], ga.coords[co[pts], 1], mask_rings
-                    )
+                    keep[pts] = mask_prep.hits(ga.coords[co[pts], 0], ga.coords[co[pts], 1],
+                                               np.zeros(len(pts), dtype=np.int64))
                 rest = idx[ga.types[idx] != POINT]
             else:
                 rest = idx

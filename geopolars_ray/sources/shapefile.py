@@ -45,10 +45,11 @@ def _polygon_record(rings: list):
     ESRI spec: exterior rings are CLOCKWISE (negative shoelace area), holes
     counterclockwise, ring order arbitrary. One exterior -> Polygon with its
     holes; several exteriors -> MultiPolygon, each hole attached to the
-    SMALLEST containing exterior (innermost — correct for nested
-    island-in-lake geometries regardless of ring order).
+    SMALLEST exterior that holds every hole vertex inside or on its
+    boundary (innermost — correct for nested island-in-lake geometries
+    regardless of ring order, and for a hole touching its exterior).
     """
-    from geopolars_ray.geom.strtree import points_in_polygon_single
+    from geopolars_ray.geom.strtree import PreparedPolygons
 
     areas = [_signed_area(r) for r in rings]
     ext = [r for r, a in zip(rings, areas) if a < 0]
@@ -57,17 +58,22 @@ def _polygon_record(rings: list):
         # degenerate windings (all-CCW writers exist) keep the raw ring order
         ordered = (ext + holes) if ext else rings
         return ("polygon", ordered)
-    ext_arr = [np.asarray(e, dtype=np.float64) for e in ext]
     ext_area = [abs(_signed_area(e)) for e in ext]
     parts = [[e] for e in ext]
+    if not holes:
+        return ("multipolygon", parts)
+    # every hole vertex against every exterior, in one kernel call
+    hv = np.concatenate([np.asarray(h, dtype=np.float64).reshape(-1, 2) for h in holes])
+    parity, on = PreparedPolygons.from_polygons([[e] for e in ext]).parity_on(
+        np.tile(hv[:, 0], len(ext)), np.tile(hv[:, 1], len(ext)), np.repeat(np.arange(len(ext)), len(hv)))
+    held = (parity | on).reshape(len(ext), len(hv))
+    lo = 0
     for h in holes:
-        px, py = h[0]
-        candidates = [
-            j for j, arr in enumerate(ext_arr)
-            if points_in_polygon_single(np.array([px]), np.array([py]), [arr])[0]
-        ]
+        hi = lo + len(h)
+        candidates = np.flatnonzero(held[:, lo:hi].all(axis=1)).tolist()
         owner = min(candidates, key=lambda j: ext_area[j]) if candidates else 0
         parts[owner].append(h)
+        lo = hi
     return ("multipolygon", parts)
 
 

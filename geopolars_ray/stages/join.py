@@ -79,12 +79,6 @@ def _segments_of_rings(rings: list[np.ndarray]) -> np.ndarray | None:
     return np.concatenate(segs, axis=0)
 
 
-def _point_in_or_on(rings: list[np.ndarray], px: float, py: float) -> tuple[bool, bool]:
-    """(strictly inside, on boundary)."""
-    inside = points_in_polygon_single(np.array([px]), np.array([py]), rings)[0]
-    return bool(inside), _line_contains_point(_segments_of_rings(rings), px, py)
-
-
 def _poly_poly(l_rings, r_rings, want_contains: bool, l_contains_r: bool) -> bool:
     """Polygon-polygon Intersects, or Contains (container side chosen by flag)."""
     sl = _segments_of_rings(l_rings)
@@ -94,13 +88,11 @@ def _poly_poly(l_rings, r_rings, want_contains: bool, l_contains_r: bool) -> boo
     if want_contains:
         outer = l_rings if l_contains_r else r_rings
         inner_pts = ra if l_contains_r else la
-        inside = points_in_polygon_single(inner_pts[:, 0], inner_pts[:, 1], outer)
         # boundary-inclusive vertex test: a vertex on the outer boundary is ok
-        if not inside.all():
-            for k in np.nonzero(~inside)[0]:
-                _, on_b = _point_in_or_on(outer, float(inner_pts[k, 0]), float(inner_pts[k, 1]))
-                if not on_b:
-                    return False
+        parity, on = PreparedPolygons.from_polygons([outer]).parity_on(
+            inner_pts[:, 0], inner_pts[:, 1], np.zeros(len(inner_pts), dtype=np.int64))
+        if not (parity | on).all():
+            return False
         # a proper (transversal) edge crossing falsifies containment even
         # with every vertex inside-or-on; boundary touches are allowed
         if sl is not None and sr is not None and K.segments_cross(sl, sr, proper_only=True):
@@ -109,11 +101,11 @@ def _poly_poly(l_rings, r_rings, want_contains: bool, l_contains_r: bool) -> boo
     # intersects
     if sl is not None and sr is not None and K.segments_cross(sl, sr):
         return True
-    if len(ra) and points_in_polygon_single(ra[:, 0], ra[:, 1], l_rings).any():
-        return True
-    if len(la) and points_in_polygon_single(la[:, 0], la[:, 1], r_rings).any():
-        return True
-    return False
+    # or a vertex of either side strictly inside the other: one kernel call
+    parity, on = PreparedPolygons.from_polygons([l_rings, r_rings]).parity_on(
+        np.concatenate([ra[:, 0], la[:, 0]]), np.concatenate([ra[:, 1], la[:, 1]]),
+        np.repeat([0, 1], [len(ra), len(la)]))
+    return bool((parity & ~on).any())
 
 
 def _line_contains_point(segs: np.ndarray | None, px: float, py: float) -> bool:

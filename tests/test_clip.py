@@ -112,13 +112,14 @@ def test_clip_concave_monte_carlo_area():
     assert abs(K.area(out)[0] - 20.0) < 1e-9
     # membership spot-check via grid: every grid point inside the clipped
     # polygon must be inside BOTH original and rect (bridges are measure-zero)
-    from geopolars_ray.stages.join import _point_in_or_on, _rings_of
+    from geopolars_ray.geom.kernels import _rings_of
+    from pip_oracle import parity_and_boundary
     xs, ys = np.meshgrid(np.linspace(-0.5, 6.5, 29), np.linspace(-0.5, 4.5, 21))
     for x, y in zip(xs.ravel(), ys.ravel()):
-        inside_clip, on_clip = _point_in_or_on(_rings_of(out, 0), x, y)
-        if inside_clip and not on_clip:
-            inside_orig, on_orig = _point_in_or_on(_rings_of(ga, 0), x, y)
-            assert (inside_orig or on_orig) and (rect[0] <= x <= rect[2]) and (rect[1] <= y <= rect[3])
+        parity_clip, on_clip = parity_and_boundary([x], [y], _rings_of(out, 0))
+        if parity_clip[0] and not on_clip[0]:
+            parity_orig, on_orig = parity_and_boundary([x], [y], _rings_of(ga, 0))
+            assert (parity_orig[0] or on_orig[0]) and (rect[0] <= x <= rect[2]) and (rect[1] <= y <= rect[3])
 
 
 def test_clip_lines_and_points():

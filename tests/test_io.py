@@ -217,6 +217,27 @@ def test_dbf_null_roundtrip_and_overflow(ray_session, tmp_path):
         write_shapefile(big, str(tmp_path / "too_wide.shp"))
 
 
+def test_shapefile_hole_touching_its_exterior():
+    """A hole whose first vertex lies on its exterior's boundary goes to
+    that exterior, not to exterior 0: every hole vertex is tested, boundary
+    included."""
+    from geopolars_ray.sources.shapefile import _polygon_record
+
+    small = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]  # clockwise exteriors
+    big = [(10, 0), (10, 4), (14, 4), (14, 0), (10, 0)]
+    hole = [(10, 2), (12, 1), (12, 3), (10, 2)]  # counterclockwise
+    kind, parts = _polygon_record([small, big, hole])
+    assert kind == "multipolygon"
+    assert parts == [[small], [big, hole]]
+    # nested: a lake in the big exterior holding an island with a pond;
+    # each hole goes to the smallest exterior holding it
+    lake = [(11, 1), (13, 1), (13, 3), (11, 3), (11, 1)]
+    island = [(11.5, 1.5), (11.5, 2.5), (12.5, 2.5), (12.5, 1.5), (11.5, 1.5)]
+    pond = [(11.8, 1.8), (12.2, 1.8), (12.2, 2.2), (11.8, 2.2), (11.8, 1.8)]
+    kind, parts = _polygon_record([pond, island, small, lake, big])
+    assert parts == [[island, pond], [small], [big, lake]]
+
+
 def test_shapefile_shx_index(ray_session, tmp_path):
     """The .shx offset index written alongside .shp resolves every record."""
     import struct

@@ -1,21 +1,20 @@
-"""The pair-vectorised point-in-polygon refine (``PreparedPolygons.match``)
-and the box-to-cells expansion shared by the grid index and the grid
-exchanges."""
+"""The pair-vectorised point-in-polygon kernel (``PreparedPolygons``:
+``parity_on``, ``hits``, ``match``) against the per-polygon oracle loops in
+``pip_oracle``, and the box-to-cells expansion shared by the grid index and
+the grid exchanges."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geopolars_ray.geom import GeometryArray, decode_wkb
 from geopolars_ray.geom import kernels as K
 from geopolars_ray.geom.array import _expand_cell_rects
-from geopolars_ray.geom.strtree import (
-    GridIndex,
-    PreparedPolygons,
-    points_dwithin_rings,
-    points_in_polygon_single,
-)
+from geopolars_ray.geom.strtree import GridIndex, PreparedPolygons, points_in_polygon_single
 from geopolars_ray.sources.pages import admin_polygons_table
+from pip_oracle import parity_and_boundary, points_dwithin_rings, rings_of
+from pip_oracle import points_in_polygon_single as oracle_contains
 
 SQUARE_WITH_HOLE = ("polygon", [
     [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0), (0.0, 0.0)],
@@ -53,9 +52,9 @@ def _per_pair(prep, point_idx, poly_idx, px, py, distance):
     got_pts, got_polys = [], []
     for k in np.argsort(poly_idx, kind="stable"):
         p, j = int(point_idx[k]), int(poly_idx[k])
-        rings = prep.rings_of(j)
+        rings = rings_of(prep, j)
         if distance is None:
-            hit = points_in_polygon_single(px[p:p + 1], py[p:p + 1], rings)[0]
+            hit = oracle_contains(px[p:p + 1], py[p:p + 1], rings)[0]
         else:
             hit = points_dwithin_rings(px[p:p + 1], py[p:p + 1], rings, distance)[0]
         if hit:
@@ -90,10 +89,10 @@ def _per_polygon(prep, point_idx, poly_idx, px, py, distance):
     keep = np.zeros(len(pts), dtype=bool)
     for j in np.unique(polys):
         grp = np.flatnonzero(polys == j)
-        rings = prep.rings_of(int(j))
+        rings = rings_of(prep, int(j))
         gx, gy = px[pts[grp]], py[pts[grp]]
         if distance is None:
-            keep[grp] = points_in_polygon_single(gx, gy, rings)
+            keep[grp] = oracle_contains(gx, gy, rings)
         else:
             keep[grp] = points_dwithin_rings(gx, gy, rings, distance)
     return pts[keep], polys[keep]
@@ -144,6 +143,67 @@ def test_match_equals_the_per_polygon_loop(geoms, lattice_pts, float_pts, distan
     want = _per_polygon(prep, pairs[:, 0], pairs[:, 1], px, py, distance)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+def _rings(geom) -> list[np.ndarray]:
+    """Every ring of one ``_geometry`` draw, as (m, 2) float arrays."""
+    if geom is None:
+        return []
+    parts = [geom[1]] if geom[0] == "polygon" else geom[1]
+    return [np.array(r, dtype=np.float64).reshape(-1, 2) for p in parts for r in p]
+
+
+@settings(max_examples=200, deadline=None)
+@given(geom=_geometry,
+       lattice_pts=st.lists(st.tuples(_lattice, _lattice), max_size=40),
+       float_pts=st.lists(st.tuples(st.floats(-4, 4) | st.just(np.nan),
+                                    st.floats(-4, 4) | st.just(np.nan)), max_size=10),
+       nan_vertex=st.integers(-1, 20))
+def test_kernel_equals_the_per_polygon_oracle(geom, lattice_pts, float_pts, nan_vertex):
+    """``points_in_polygon_single`` and the kernel's ``(parity, on)`` equal
+    the per-ring oracle bit for bit: holes, multipolygons, open rings, rings
+    under 3 coords, every ring vertex and edge midpoint as a point, NaN
+    points and (``nan_vertex >= 0``) a NaN ring vertex."""
+    rings = _rings(geom)
+    vertices = [(r, k) for r in range(len(rings)) for k in range(len(rings[r]))]
+    if 0 <= nan_vertex < len(vertices):
+        r, k = vertices[nan_vertex]
+        rings[r][k] = np.nan
+    xy = np.array(list(lattice_pts) + list(float_pts) + [(0.0, 0.0)], dtype=np.float64)
+    xy = np.vstack([xy] + rings + [(r[:-1] + r[1:]) / 2 for r in rings])
+    px, py = xy[:, 0], xy[:, 1]
+    want_parity, want_on = parity_and_boundary(px, py, rings)
+    np.testing.assert_array_equal(points_in_polygon_single(px, py, rings), want_parity & ~want_on)
+    parity, on = PreparedPolygons.from_polygons([rings]).parity_on(px, py, np.zeros(len(px), np.int64))
+    np.testing.assert_array_equal(parity, want_parity)
+    np.testing.assert_array_equal(on, want_on)
+
+
+def test_one_polygon_callers_split_into_blocks(monkeypatch):
+    """The ``read_file(mask=...)`` filter and an H3 cover give the one-block
+    answer when each kernel block holds 64 pair x edge elements, fewer than
+    the mask's 200 edges."""
+    from geopolars_ray.geom import encode_wkb, h3 as H, strtree
+    from geopolars_ray.sources.io import mask_filter
+
+    t = np.linspace(0, 2 * np.pi, 201)
+    circle = [(float(np.cos(a) * 10), float(np.sin(a) * 10)) for a in t[:-1]]
+    circle.append(circle[0])
+    rng = np.random.default_rng(3)
+    pts = [("point", (float(x), float(y))) for x, y in rng.uniform(-12, 12, (3000, 2))]
+    batch = pa.table({"geometry": encode_wkb(GeometryArray.from_pylist(pts))})
+    sq = np.array([(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5), (0.0, 0.0)])
+    hole = np.array([(0.2, 0.2), (0.2, 0.3), (0.3, 0.3), (0.3, 0.2), (0.2, 0.2)])
+
+    def run():
+        kept = mask_filter(("polygon", [circle]))(batch)
+        return kept["geometry"].to_pylist(), H.polygon_to_cells([sq, hole], 8).tolist()
+
+    want = run()
+    monkeypatch.setattr(strtree, "_PAIR_EDGE_BLOCK", 64)
+    got = run()
+    assert got == want
+    assert 0 < len(want[0]) < len(pts) and len(want[1]) > 0
 
 
 def test_match_keeps_points_exactly_distance_beyond_the_bbox():

@@ -71,11 +71,11 @@ def test_hull_contains_all_points(points):
     on_bound = ~inside
     # for points not strictly inside, verify they lie on the boundary
     if on_bound.any():
-        from geopolars_ray.geom.kernels import _min_point_to_segments
+        from pip_oracle import min_point_to_segments
 
         segs = np.stack([ring[:-1], ring[1:]], axis=1)
         for i in np.nonzero(on_bound)[0]:
-            dmin = _min_point_to_segments(np.array([[xs[i], ys[i]]]), segs)
+            dmin = min_point_to_segments(np.array([[xs[i], ys[i]]]), segs)
             span = max(xs.max() - xs.min(), ys.max() - ys.min(), 1.0)
             assert dmin <= 1e-9 * span + 1e-9
 
