@@ -493,8 +493,9 @@ class GeoDataset:
         metadata). Driver-sized output by design — the distributed,
         partitioned sink is :meth:`write_geoparquet`."""
         from geopolars_ray.sources.io import write_file as _write_file
+        from geopolars_ray.stages.agg import concat_blocks
 
-        tbl = pa.concat_tables(ray.get(self._ds.to_arrow_refs()))
+        tbl = concat_blocks(self._ds)
         _write_file(tbl, path, geometry_col=self.geometry_col,
                     crs=crs if crs is not None else self.crs, **kw)
         return path

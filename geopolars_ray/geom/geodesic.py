@@ -20,6 +20,7 @@ import numpy as np
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
+WGS84_B = WGS84_A * (1.0 - WGS84_F)
 
 
 def _a1m1(eps: np.ndarray) -> np.ndarray:
@@ -184,20 +185,16 @@ def geodesic_inverse_m(lon1, lat1, lon2, lat2, max_iter: int = 64) -> np.ndarray
 # the AEQD projection and geodesic buffers built on top.
 # --------------------------------------------------------------------------
 
-_WGS84_A = 6378137.0
-_WGS84_F = 1.0 / 298.257223563
-_WGS84_B = _WGS84_A * (1.0 - _WGS84_F)
-
 
 def vincenty_inverse(lon1, lat1, lon2, lat2, iterations: int = 30):
     """(distance_m, fwd_azimuth_deg) per pair, vectorized.
 
-    Same lambda iteration as the distance-only kernel
-    (``kernels._vincenty_m``); the forward azimuth alpha1 falls out of the
+    The one Vincenty inverse: ``kernels._vincenty_m`` is its distance with
+    a haversine guard. The forward azimuth alpha1 falls out of the
     converged lambda. Near-antipodal pairs (Vincenty's documented
     non-convergence slice) return NaN azimuth — callers that need that
     slice should densify instead."""
-    a, b, f = _WGS84_A, _WGS84_B, _WGS84_F
+    a, b, f = WGS84_A, WGS84_B, WGS84_F
     lon1 = np.asarray(lon1, np.float64); lat1 = np.asarray(lat1, np.float64)
     lon2 = np.asarray(lon2, np.float64); lat2 = np.asarray(lat2, np.float64)
     L = np.radians(lon2 - lon1)
@@ -241,7 +238,7 @@ def vincenty_direct(lon1, lat1, az1_deg, s_m, iterations: int = 8):
     clockwise from north) and geodesic distance (m) — Vincenty's direct
     formulas, vectorized; the sigma iteration contracts like f (~3e-3), so
     8 rounds reach float64 round-off for any distance."""
-    a, b, f = _WGS84_A, _WGS84_B, _WGS84_F
+    a, b, f = WGS84_A, WGS84_B, WGS84_F
     lon1 = np.asarray(lon1, np.float64); lat1 = np.asarray(lat1, np.float64)
     az = np.radians(np.asarray(az1_deg, np.float64))
     s = np.asarray(s_m, np.float64)

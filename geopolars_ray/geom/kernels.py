@@ -344,44 +344,9 @@ def _haversine_m(lon1, lat1, lon2, lat2) -> np.ndarray:
 
 def _vincenty_m(lon1, lat1, lon2, lat2, iterations: int = 20) -> np.ndarray:
     """Vincenty inverse geodesic distance on WGS84, vectorized (meters)."""
-    a, b, f = WGS84_A, WGS84_B, WGS84_F
-    L = np.radians(lon2 - lon1)
-    U1 = np.arctan((1 - f) * np.tan(np.radians(lat1)))
-    U2 = np.arctan((1 - f) * np.tan(np.radians(lat2)))
-    sinU1, cosU1 = np.sin(U1), np.cos(U1)
-    sinU2, cosU2 = np.sin(U2), np.cos(U2)
-    lam = L.copy()
-    for _ in range(iterations):
-        sinLam, cosLam = np.sin(lam), np.cos(lam)
-        sinSigma = np.sqrt(
-            (cosU2 * sinLam) ** 2 + (cosU1 * sinU2 - sinU1 * cosU2 * cosLam) ** 2
-        )
-        cosSigma = sinU1 * sinU2 + cosU1 * cosU2 * cosLam
-        sigma = np.arctan2(sinSigma, cosSigma)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinAlpha = np.where(sinSigma != 0, cosU1 * cosU2 * sinLam / np.where(sinSigma == 0, 1, sinSigma), 0.0)
-            cos2Alpha = 1.0 - sinAlpha**2
-            cos2SigmaM = np.where(
-                cos2Alpha != 0, cosSigma - 2.0 * sinU1 * sinU2 / np.where(cos2Alpha == 0, 1, cos2Alpha), 0.0
-            )
-        C = f / 16.0 * cos2Alpha * (4.0 + f * (4.0 - 3.0 * cos2Alpha))
-        lam = L + (1.0 - C) * f * sinAlpha * (
-            sigma + C * sinSigma * (cos2SigmaM + C * cosSigma * (-1.0 + 2.0 * cos2SigmaM**2))
-        )
-    u2 = cos2Alpha * (a**2 - b**2) / b**2
-    A = 1.0 + u2 / 16384.0 * (4096.0 + u2 * (-768.0 + u2 * (320.0 - 175.0 * u2)))
-    B = u2 / 1024.0 * (256.0 + u2 * (-128.0 + u2 * (74.0 - 47.0 * u2)))
-    deltaSigma = B * sinSigma * (
-        cos2SigmaM
-        + B
-        / 4.0
-        * (
-            cosSigma * (-1.0 + 2.0 * cos2SigmaM**2)
-            - B / 6.0 * cos2SigmaM * (-3.0 + 4.0 * sinSigma**2) * (-3.0 + 4.0 * cos2SigmaM**2)
-        )
-    )
-    dist = b * A * (sigma - deltaSigma)
-    dist = np.where(sinSigma == 0, 0.0, dist)
+    from geopolars_ray.geom.geodesic import vincenty_inverse
+
+    dist = vincenty_inverse(lon1, lat1, lon2, lat2, iterations=iterations)[0]
     # Vincenty's lambda iteration can fail to converge for near-antipodal
     # pairs; guard with the haversine great-circle value there (sub-0.6%
     # worst case on WGS84, only on that degenerate slice)

@@ -103,9 +103,21 @@ def decode_wkb(arr: pa.Array | pa.ChunkedArray) -> GeometryArray:
     n_parts = 0
     mv = values  # uint8 ndarray; slice -> frombuffer-able
 
+    # every read is checked against the row's end offset: a count that runs
+    # past it would otherwise read the next row's bytes as coordinates
+    def need(pos: int, nbytes: int) -> None:
+        if pos + nbytes > end:
+            raise ValueError(f"truncated WKB at row {i}: needs {pos + nbytes - int(offsets[i])} "
+                             f"bytes, has {end - int(offsets[i])}")
+
+    def read_count(pos: int, bo: str) -> int:
+        need(pos, 4)
+        return struct.unpack_from(bo + "I", mv, pos)[0]
+
     def read_coords(pos: int, count: int, lt: str) -> int:
         nonlocal n_coords
         nbytes = count * 16
+        need(pos, nbytes)
         block = mv[pos : pos + nbytes]
         c = np.frombuffer(block.tobytes(), dtype=lt + "f8").reshape(count, 2)
         coord_chunks.append(c)
@@ -134,24 +146,23 @@ def decode_wkb(arr: pa.Array | pa.ChunkedArray) -> GeometryArray:
             part_off.append(len(ring_off) - 1)
             n_parts += 1
         elif t == LINESTRING:
-            (cnt,) = struct.unpack_from(bo + "I", mv, pos)
-            pos = read_coords(pos + 4, cnt, bo)
+            pos = read_coords(pos + 4, read_count(pos, bo), bo)
             ring_off.append(n_coords)
             part_off.append(len(ring_off) - 1)
             n_parts += 1
         elif t == POLYGON:
-            (nrings,) = struct.unpack_from(bo + "I", mv, pos)
+            nrings = read_count(pos, bo)
             pos += 4
             for _ in range(nrings):
-                (cnt,) = struct.unpack_from(bo + "I", mv, pos)
-                pos = read_coords(pos + 4, cnt, bo)
+                pos = read_coords(pos + 4, read_count(pos, bo), bo)
                 ring_off.append(n_coords)
             part_off.append(len(ring_off) - 1)
             n_parts += 1
         elif t in (MULTIPOINT, MULTILINESTRING, MULTIPOLYGON):
-            (ngeoms,) = struct.unpack_from(bo + "I", mv, pos)
+            ngeoms = read_count(pos, bo)
             pos += 4
             for _ in range(ngeoms):
+                need(pos, 5)
                 sbo = "<" if values[pos] == 1 else ">"
                 (stype,) = struct.unpack_from(sbo + "I", mv, pos + 1)
                 pos += 5
@@ -159,15 +170,13 @@ def decode_wkb(arr: pa.Array | pa.ChunkedArray) -> GeometryArray:
                     pos = read_coords(pos, 1, sbo)
                     ring_off.append(n_coords)
                 elif stype == 2:  # linestring
-                    (cnt,) = struct.unpack_from(sbo + "I", mv, pos)
-                    pos = read_coords(pos + 4, cnt, sbo)
+                    pos = read_coords(pos + 4, read_count(pos, sbo), sbo)
                     ring_off.append(n_coords)
                 elif stype == 3:  # polygon
-                    (nrings,) = struct.unpack_from(sbo + "I", mv, pos)
+                    nrings = read_count(pos, sbo)
                     pos += 4
                     for _ in range(nrings):
-                        (cnt,) = struct.unpack_from(sbo + "I", mv, pos)
-                        pos = read_coords(pos + 4, cnt, sbo)
+                        pos = read_coords(pos + 4, read_count(pos, sbo), sbo)
                         ring_off.append(n_coords)
                 else:
                     raise ValueError(f"unsupported sub-geometry WKB type {stype}")

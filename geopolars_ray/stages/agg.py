@@ -39,18 +39,16 @@ def hash_aggregate(
     keys: Sequence[str],
     spec: Sequence[AggSpec],
     num_partitions: int = 32,
-    combine: bool = True,
-    tree_combine_batch_size: int | None = 262144,
 ):
     """Grouped aggregation that scales with partitions, not groups.
 
     ``spec``: (col, fn, out_name) with fn in sum|count|min|max|mean.
     Returns a Dataset with ``keys + [out for each spec]`` columns.
 
-    ``tree_combine_batch_size``: when set, a second combiner merges many
-    per-block partials into large batches before the shuffle — for
+    A second combiner (``tree_combine``) merges many per-block partials into
+    batches of 262,144 rows before the shuffle — for
     fine-grained keys (per-tile rollups) this cuts shuffled rows ~10x at the
-    cost of a soft batching barrier. ``None`` disables.
+    cost of a soft batching barrier.
     """
     keys = list(keys)
     partial_aggs: list[tuple[str, str]] = []
@@ -111,21 +109,16 @@ def hash_aggregate(
         g = batch.group_by(keys + ["_part"]).aggregate(combine_aggs)
         return g.rename_columns(keys + ["_part"] + partial_names)
 
-    stage1 = ds.map_batches(partial, batch_format="pyarrow") if combine else ds.map_batches(
-        lambda b: b.append_column("_part", _hash_part(b, keys, num_partitions)),
-        batch_format="pyarrow",
+    # NOTE: tree_combine FUSES with the upstream chain, which coarsens task
+    # granularity to ~262k rows per task. That is a deliberate
+    # trade: every attempt to break fusion (repartition,
+    # randomize_block_order, distinct num_cpus, actor pool) made the
+    # streaming executor serialize the upstream map on small clusters
+    # (8 CPUs: 46s fused vs 125-160s unfused for the same job). The batch
+    # size balances combine compression against stragglers.
+    stage1 = ds.map_batches(partial, batch_format="pyarrow").map_batches(
+        tree_combine, batch_format="pyarrow", batch_size=262144
     )
-    if combine and tree_combine_batch_size:
-        # NOTE: this op FUSES with the upstream chain, which coarsens task
-        # granularity to ~tree_combine_batch_size rows per task. That is a
-        # deliberate trade: every attempt to break fusion (repartition,
-        # randomize_block_order, distinct num_cpus, actor pool) made the
-        # streaming executor serialize the upstream map on small clusters
-        # (8 CPUs: 46s fused vs 125-160s unfused for the same job). Pick the
-        # batch size to balance combine compression against stragglers.
-        stage1 = stage1.map_batches(
-            tree_combine, batch_format="pyarrow", batch_size=tree_combine_batch_size
-        )
     # Materialize the (combined, small) partials before the shuffle: the
     # sort-based groupby is a barrier regardless, and keeping the AllToAll
     # operator out of the map plan stops the executor's resource reservation
@@ -254,6 +247,15 @@ def hash_partitioned_map(
     is high: ``fn`` receives one table holding every row of ~(#keys/P) keys
     (sorted by nothing — sort inside if needed) and only P groups ever touch
     Ray's sort-based machinery.
+
+    Empty sort ranges: Ray's sort exchange emits a zero-row, ZERO-COLUMN
+    block for every sort range that receives no ``_part`` value: on a
+    16-block input, 12 of 16 output blocks at P=4, fewer as P grows. Ray
+    never calls ``fn``, nor any later ``map_batches`` UDF, on such a block
+    (after a P=4 exchange over 16 blocks a UDF ran on the 4 non-empty
+    blocks only); ``count``, ``to_pandas`` and ``write_parquet`` tolerate
+    it. Code that concatenates the blocks itself goes through
+    :func:`concat_blocks`.
     """
     keys = list(keys)
 
@@ -266,3 +268,15 @@ def hash_partitioned_map(
     return ds.map_batches(tag, batch_format="pyarrow").groupby("_part").map_groups(
         run, batch_format="pyarrow"
     )
+
+
+def concat_blocks(ds, empty: pa.Table | None = None) -> pa.Table:
+    """One table of a Dataset's blocks, skipping the zero-column blocks an
+    exchange emits for its empty sort ranges (:func:`hash_partitioned_map`).
+    ``empty`` is returned when no block has columns."""
+    import ray
+
+    parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns > 0]
+    if parts:
+        return pa.concat_tables(parts)
+    return empty if empty is not None else pa.table({})

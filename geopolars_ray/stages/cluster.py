@@ -33,6 +33,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from geopolars_ray.geom.array import _expand_cell_rects
 from geopolars_ray.stages.agg import hash_aggregate, hash_partitioned_map
 from geopolars_ray.stages.hashjoin import hash_join
 from geopolars_ray.stages.cc import connected_components
@@ -219,20 +220,16 @@ def cluster_within(
         x0, y0, x1, y1 = K.bounds(ga)
         ids = b[id_col].to_numpy(zero_copy_only=False)
         wkb = b[geometry_col]
-        out_cells, out_rows = [], []
-        cx0 = np.floor((x0 - half) / cell).astype(np.int64)
-        cx1 = np.floor((x1 + half) / cell).astype(np.int64)
-        cy0 = np.floor((y0 - half) / cell).astype(np.int64)
-        cy1 = np.floor((y1 + half) / cell).astype(np.int64)
-        valid = np.isfinite(x0)
-        for i in np.flatnonzero(valid):
-            for gx in range(cx0[i], cx1[i] + 1):
-                for gy in range(cy0[i], cy1[i] + 1):
-                    out_cells.append(gx * np.int64(0x9E3779B1) + gy)
-                    out_rows.append(i)
-        idx = np.array(out_rows, dtype=np.int64)
+        valid = np.flatnonzero(np.isfinite(x0))
+
+        def index(v):
+            return np.floor(v[valid] / cell).astype(np.int64)
+
+        item, cells = _expand_cell_rects(index(x0 - half), index(x1 + half),
+                                         index(y0 - half), index(y1 + half), 0x9E3779B1)
+        idx = valid[item]
         return pa.table({
-            "_cell": pa.array(np.array(out_cells, dtype=np.int64)),
+            "_cell": pa.array(cells, pa.int64()),
             "gid": pa.array(ids[idx] if len(idx) else np.array([], np.int64)),
             "_ex0": pa.array((x0 - half)[idx]),
             "_ey0": pa.array((y0 - half)[idx]),

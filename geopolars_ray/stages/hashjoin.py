@@ -75,10 +75,14 @@ def co_partitioned_map(
     rtypes = dict(zip(rs.names, rs.types))
     r_vals = [c for c in rs.names if c not in right_on] if right_values else []
     # both sides share one union schema: the left columns, then the right
-    # values under names no other union column has
+    # values under names no other union column has. A right value named and
+    # typed like a left non-key column shares that column (`_side` tells the
+    # rows apart) instead of adding one that is all null on the left.
+    shared = {c for c in r_vals if c in ltypes and c not in on and ltypes[c] == rtypes[c]}
+    own = [c for c in r_vals if c not in shared]
     taken = set(lnames)
-    union_rname = {}
-    for c in r_vals:
+    union_rname = {c: c for c in shared}
+    for c in own:
         u = c
         while u in taken:
             u += "_r"
@@ -87,7 +91,7 @@ def co_partitioned_map(
 
     def pad_left(b: pa.Table) -> pa.Table:
         out = b.select(lnames)
-        for c in r_vals:
+        for c in own:
             out = out.append_column(union_rname[c], pa.nulls(len(b), rtypes[c]))
         return out.append_column("_side", pa.array(np.zeros(len(b), dtype=np.int8)))
 
@@ -96,9 +100,11 @@ def co_partitioned_map(
         for name in lnames:
             if name in on:
                 cols[name] = b[right_on[on.index(name)]]
+            elif name in shared:
+                cols[name] = b[name]
             else:
                 cols[name] = pa.nulls(len(b), ltypes[name])
-        for c in r_vals:
+        for c in own:
             cols[union_rname[c]] = b[c]
         out = pa.table(cols)
         return out.append_column("_side", pa.array(np.ones(len(b), dtype=np.int8)))

@@ -1,11 +1,19 @@
-"""Euclidean kNN of a point Dataset against a broadcast query-point set.
+"""Euclidean kNN and distance joins over point Datasets.
 
-The north star's "ST_Distance kNN" (BASELINE.json): the reference only has
-row-wise distance (`geoseries.rs:141-146`), so kNN is a new composition —
-per-batch partial top-k against the broadcast query matrix (one vectorized
-distance computation per batch), then a per-query merge. Per-batch partials
-are (queries x k) rows, so the shuffle moves O(q*k*blocks) tiny rows, never
-the point table.
+- :func:`euclidean_knn`: kNN of a point Dataset against a broadcast
+  query-point set, the north star's "ST_Distance kNN" (BASELINE.json). The
+  reference only has row-wise distance (`geoseries.rs:141-146`), so kNN is a
+  new composition: per-batch partial top-k against the broadcast query matrix
+  (one vectorized distance computation per batch), then a per-query merge.
+  Per-batch partials are (queries x k) rows, so the shuffle moves
+  O(q*k*blocks) tiny rows, never the point table.
+- :func:`knn_join`, :func:`sjoin_nearest` and :func:`dwithin_join`:
+  large-large joins on one cell exchange, :func:`_cell_exchange`. Points key
+  to their ``grid_tile_id`` cell, targets replicate to the 3x3 block around
+  theirs, and ``stages/hashjoin.py co_partitioned_map`` co-locates each
+  cell's points and target replicas in one hash partition. There one
+  generator, :func:`_cell_blocks`, yields bounded (point strip x cell
+  targets) distance blocks; the top-k and the distance threshold read them.
 """
 
 from __future__ import annotations
@@ -47,6 +55,122 @@ class EuclideanTopK:
         )
 
 
+def _input_schemas(points_ds, targets_ds, point_id: str, target_id: str, who: str):
+    """The Arrow schemas of both inputs; their id columns must be integers
+    (the partition kernels run on int64 numpy views)."""
+    out = []
+    for ds, id_col in ((points_ds, point_id), (targets_ds, target_id)):
+        sch = ds.schema()
+        if sch is None:
+            raise ValueError(
+                f"{who} could not resolve input schemas (lazy pipeline whose "
+                "first block is empty?) — materialize or re-read the inputs first"
+            )
+        sch = pa.schema(list(zip(sch.names, sch.types)))
+        t = sch.field(id_col).type
+        if not pa.types.is_integer(t):
+            raise ValueError(
+                f"{who} requires integer id columns; {id_col!r} is {t} "
+                "(for string ids, attach a dense integer surrogate key first)"
+            )
+        out.append(sch)
+    return tuple(out)
+
+
+def _cell_exchange(points_ds, targets_ds, schemas, cell: float, kernel, *, x_col: str,
+                   y_col: str, point_id: str, target_id: str, num_partitions: int):
+    """Co-partition points and targets by grid cell and call
+    ``kernel(points, targets)`` once per hash partition.
+
+    Points key to their own ``grid_tile_id`` cell as (point_id, _x, _y,
+    _cell). Targets replicate to the 3x3 block of cells around theirs as
+    (target_id, _x, _y, _cell). With ``cell`` at least the search radius,
+    every target within it of a point lies in the point's 3x3 block, so
+    each pair meets in exactly one partition. ``schemas`` are the two input
+    schemas (:func:`_input_schemas`): both mapped sides are then known
+    without probing a block.
+    """
+    from geopolars_ray.geom.tiles import grid_tile_id
+    from geopolars_ray.stages.hashjoin import co_partitioned_map
+
+    ny = int(np.ceil(180.0 / cell))
+    block = np.array([dx + dy for dx in (-ny, 0, ny) for dy in (-1, 0, 1)], dtype=np.int64)
+
+    def cells(batch: pa.Table) -> np.ndarray:
+        x = batch[x_col].to_numpy(zero_copy_only=False)
+        y = batch[y_col].to_numpy(zero_copy_only=False)
+        return grid_tile_id(x, y, cell)
+
+    def point_key(batch: pa.Table) -> pa.Table:
+        return pa.table({point_id: batch[point_id], "_x": batch[x_col], "_y": batch[y_col],
+                         "_cell": pa.array(cells(batch))})
+
+    def target_block(batch: pa.Table) -> pa.Table:
+        c = cells(batch)
+        rep = batch.select([target_id, x_col, y_col]).take(
+            pa.array(np.tile(np.arange(len(c)), len(block))))
+        return pa.table({target_id: rep[target_id], "_x": rep[x_col], "_y": rep[y_col],
+                         "_cell": pa.array((block[:, None] + c[None, :]).reshape(-1))})
+
+    def side(sch: pa.Schema, id_col: str) -> pa.Schema:
+        return pa.schema([(id_col, sch.field(id_col).type), ("_x", sch.field(x_col).type),
+                          ("_y", sch.field(y_col).type), ("_cell", pa.int64())])
+
+    # _x/_y of one type share a union column, so the exchange carries
+    # (point_id, _x, _y, _cell, target_id, _side)
+    return co_partitioned_map(
+        points_ds.map_batches(point_key, batch_format="pyarrow"),
+        targets_ds.map_batches(target_block, batch_format="pyarrow"),
+        ["_cell"], kernel, num_partitions=num_partitions,
+        left_schema=side(schemas[0], point_id), right_schema=side(schemas[1], target_id),
+    )
+
+
+def _cell_blocks(points: pa.Table, targets: pa.Table, point_id: str, target_id: str,
+                 strip_cost: int = 4_000_000):
+    """Yield ``(pids, tids, d2)`` for each (point strip, cell) of a partition:
+    the strip's point ids, the ids of its cell's targets, and the
+    (strip x targets) block of squared distances.
+
+    Targets are sorted by (cell, tid), so a block's columns run in tid order
+    and a stable sort on distance breaks ties by tid. A target the 3x3
+    offsets replicate into one cell twice (they alias on coarse grids) is
+    kept once. Each point lies in exactly one strip; a strip holds at most
+    ``strip_cost // targets`` points, which bounds the block a dense cell
+    can build.
+    """
+    if points.num_rows == 0 or targets.num_rows == 0:
+        return
+    ppid = points[point_id].to_numpy(zero_copy_only=False).astype(np.int64)
+    px = points["_x"].to_numpy(zero_copy_only=False)
+    py = points["_y"].to_numpy(zero_copy_only=False)
+    pcell = points["_cell"].to_numpy(zero_copy_only=False)
+    ttid = targets[target_id].to_numpy(zero_copy_only=False).astype(np.int64)
+    tcell = targets["_cell"].to_numpy(zero_copy_only=False)
+    tor = np.lexsort((ttid, tcell))
+    tcell, ttid = tcell[tor], ttid[tor]
+    tx = targets["_x"].to_numpy(zero_copy_only=False)[tor]
+    ty = targets["_y"].to_numpy(zero_copy_only=False)[tor]
+    por = np.argsort(pcell, kind="stable")
+    for rows in np.split(por, np.nonzero(np.diff(pcell[por]))[0] + 1):
+        c = pcell[rows[0]]
+        t0, t1 = np.searchsorted(tcell, [c, c + 1])
+        if t0 == t1:
+            continue
+        ct, cx, cy = ttid[t0:t1], tx[t0:t1], ty[t0:t1]
+        uniq = np.ones(len(ct), dtype=bool)
+        uniq[1:] = ct[1:] != ct[:-1]
+        ct, cx, cy = ct[uniq], cx[uniq], cy[uniq]
+        step = max(1, strip_cost // len(ct))
+        for s0 in range(0, len(rows), step):
+            blk = rows[s0 : s0 + step]
+            yield ppid[blk], ct, (px[blk, None] - cx[None, :]) ** 2 + (py[blk, None] - cy[None, :]) ** 2
+
+
+def _cat(chunks: list, dtype) -> np.ndarray:
+    return np.concatenate(chunks).astype(dtype, copy=False) if chunks else np.empty(0, dtype)
+
+
 def knn_join(
     points_ds,
     targets_ds,
@@ -63,11 +187,10 @@ def knn_join(
     Scale path (SURVEY.md §7 M7), fully distributed — NOTHING is ever
     collected on the driver:
 
-    - Each pass keys targets to their grid cell plus the 8 neighbors and
-      points to their own cell, hash-joins on the cell id, and takes a
-      vectorized per-point top-k per hash partition. A point is *complete*
-      when its k-th candidate distance is provably inside the 3x3 coverage
-      radius (< cell_deg).
+    - Each pass is one :func:`_cell_exchange` whose kernel takes a
+      vectorized per-point top-k over the partition's cell blocks. A point
+      is *complete* when its k-th candidate distance is provably inside the
+      3x3 coverage radius (< cell_deg).
     - Incomplete points (k-th not proven, or no candidates at all) go to the
       next pass with the cell size grown 4x — the expanding-ring second pass.
       The remainder is computed distributively with a native ``left_anti``
@@ -84,187 +207,51 @@ def knn_join(
     """
     import pyarrow.compute as pc
 
-    from geopolars_ray.geom import tiles as tiles_mod
-    from geopolars_ray.stages.agg import hash_partitioned_map
     from geopolars_ray.stages.hashjoin import hash_join
 
-    p_schema = points_ds.schema()
-    t_schema = targets_ds.schema()
-    if p_schema is None or t_schema is None:
-        raise ValueError(
-            "knn_join could not resolve input schemas (lazy pipeline whose "
-            "first block is empty?) — materialize or re-read the inputs first"
-        )
-    p_types = dict(zip(p_schema.names, p_schema.types))
-    t_types = dict(zip(t_schema.names, t_schema.types))
-    id_type = p_types[point_id]
-    tid_type = t_types[target_id]
-    for _nm, _t in ((point_id, id_type), (target_id, tid_type)):
-        # the partition kernel runs on int64 numpy views; non-integer ids
-        # (strings) can't ride that path — callers add a dense surrogate key
-        if not pa.types.is_integer(_t):
-            raise ValueError(
-                f"knn_join requires integer id columns; {_nm!r} is {_t} "
-                "(for string ids, attach a dense integer surrogate key first)"
-            )
-
-    def _ids_out(pid_np: np.ndarray, tid_np: np.ndarray):
-        """Emit id columns in the INPUT id types so 'complete' blocks union
-        cleanly with the original-typed remainder (int32 ids etc.)."""
-        return pa.array(pid_np).cast(id_type), pa.array(tid_np).cast(tid_type)
-
-    def one_pass(pts_in, cd: float, covers_all: bool):
-        """One expanding-ring pass as a SINGLE exchange: points and their
-        3x3-replicated targets union into one stream keyed by cell, and each
-        cell partition computes its points' top-k directly — no separate
-        hash-join stage, and the candidate cross-product lives only in
-        partition-local NumPy, never in the object store."""
-        ny = int(np.ceil(180.0 / cd))
-
-        def target_side(batch: pa.Table) -> pa.Table:
-            x = batch[x_col].to_numpy(zero_copy_only=False)
-            y = batch[y_col].to_numpy(zero_copy_only=False)
-            cell = tiles_mod.grid_tile_id(x, y, cd)
-            # replicate to the 3x3 neighborhood
-            reps = []
-            cells = []
-            for dx in (-ny, 0, ny):
-                for dy in (-1, 0, 1):
-                    reps.append(np.arange(len(x)))
-                    cells.append(cell + dx + dy)
-            rows = np.concatenate(reps)
-            rep = batch.select([target_id, x_col, y_col]).take(pa.array(rows))
-            n = len(rows)
-            return pa.table(
-                {
-                    point_id: pa.nulls(n, id_type),
-                    target_id: rep[target_id],
-                    "_x": rep[x_col],
-                    "_y": rep[y_col],
-                    "_cell": pa.array(np.concatenate(cells)),
-                    "_side": pa.array(np.ones(n, dtype=np.int8)),
-                }
-            )
-
-        def point_side(batch: pa.Table) -> pa.Table:
-            x = batch[x_col].to_numpy(zero_copy_only=False)
-            y = batch[y_col].to_numpy(zero_copy_only=False)
-            cell = tiles_mod.grid_tile_id(x, y, cd)
-            n = len(batch)
-            return pa.table(
-                {
-                    point_id: batch[point_id],
-                    target_id: pa.nulls(n, tid_type),
-                    "_x": batch[x_col],
-                    "_y": batch[y_col],
-                    "_cell": pa.array(cell),
-                    "_side": pa.array(np.zeros(n, dtype=np.int8)),
-                }
-            )
-
-        both = pts_in.map_batches(point_side, batch_format="pyarrow").union(
-            targets_ds.map_batches(target_side, batch_format="pyarrow")
-        )
-
-        def topk_cell_partition(part: pa.Table) -> pa.Table:
-            lm = pc.equal(part["_side"], 0)
-            P = part.filter(lm)
-            T = part.filter(pc.invert(lm))
-            if P.num_rows == 0 or T.num_rows == 0:
-                # points with no candidate targets emit nothing: they stay in
-                # the remainder and re-try at the next (coarser) pass
-                return pa.table({point_id: pa.array([], id_type), target_id: pa.array([], tid_type),
-                                 "distance": pa.array([], pa.float64()), "rank": pa.array([], pa.int64()),
-                                 "_complete": pa.array([], pa.bool_())})
-            ppid = P[point_id].to_numpy(zero_copy_only=False).astype(np.int64)
-            px = P["_x"].to_numpy(zero_copy_only=False)
-            py = P["_y"].to_numpy(zero_copy_only=False)
-            pcell = P["_cell"].to_numpy(zero_copy_only=False)
-            ttid = T[target_id].to_numpy(zero_copy_only=False).astype(np.int64)
-            tx = T["_x"].to_numpy(zero_copy_only=False)
-            ty = T["_y"].to_numpy(zero_copy_only=False)
-            tcell = T["_cell"].to_numpy(zero_copy_only=False)
-            # sort targets by (cell, tid): within each cell the columns of the
-            # distance block are then tid-ordered, so a STABLE row argsort on
-            # distance alone breaks ties by tid — the oracle's tie-break
-            tor = np.lexsort((ttid, tcell))
-            tcell_s, ttid_s, tx_s, ty_s = tcell[tor], ttid[tor], tx[tor], ty[tor]
-            por = np.argsort(pcell, kind="stable")
-            pcell_s = pcell[por]
-            cuts = np.nonzero(np.diff(pcell_s))[0] + 1
-            cand_p, cand_t, cand_d = [], [], []
-            for rows in np.split(por, cuts):
-                c = pcell[rows[0]]
-                t0, t1 = np.searchsorted(tcell_s, [c, c + 1])
-                if t0 == t1:
-                    continue
-                ct, cx, cy = ttid_s[t0:t1], tx_s[t0:t1], ty_s[t0:t1]
-                # drop aliased duplicates (coarse passes: 3x3 offsets can
-                # collide and replicate a target into the same cell twice);
-                # tid-sorted -> duplicates adjacent
-                if len(ct) > 1:
-                    uniq = np.ones(len(ct), dtype=bool)
-                    uniq[1:] = ct[1:] != ct[:-1]
-                    ct, cx, cy = ct[uniq], cx[uniq], cy[uniq]
-                m_c = len(ct)
-                take = min(k, m_c)
-                # chunk the cell's points: the n x m distance block AND the
-                # retained candidates stay bounded (O(points*k) accumulation)
-                step = max(1, 4_000_000 // m_c)
-                for s0 in range(0, len(rows), step):
-                    blk = rows[s0 : s0 + step]
-                    dd = np.sqrt(
-                        (px[blk, None] - cx[None, :]) ** 2 + (py[blk, None] - cy[None, :]) ** 2
-                    )
-                    # per-point exact top-k: stable argsort on d, ties in tid
-                    # order by construction of the column ordering above
-                    sel = np.argsort(dd, axis=1, kind="stable")[:, :take]
-                    cand_p.append(np.repeat(ppid[blk], take))
-                    cand_t.append(ct[sel].reshape(-1))
-                    cand_d.append(np.take_along_axis(dd, sel, axis=1).reshape(-1))
-            if not cand_p:
-                return pa.table({point_id: pa.array([], id_type), target_id: pa.array([], tid_type),
-                                 "distance": pa.array([], pa.float64()), "rank": pa.array([], pa.int64()),
-                                 "_complete": pa.array([], pa.bool_())})
-            pid = np.concatenate(cand_p)
-            tid = np.concatenate(cand_t)
-            d = np.concatenate(cand_d)
-            order = np.lexsort((tid, d, pid))
-            pid, tid, d = pid[order], tid[order], d[order]
-            cut = np.nonzero(np.diff(pid))[0] + 1
-            out_p, out_t, out_d, out_r, out_ok = [], [], [], [], []
-            for p_ids, t_ids, dists in zip(np.split(pid, cut), np.split(tid, cut), np.split(d, cut)):
-                kk = min(k, len(t_ids))
-                complete = covers_all or (len(t_ids) >= k and dists[k - 1] < cd)
-                out_p.append(p_ids[:kk])
-                out_t.append(t_ids[:kk])
-                out_d.append(dists[:kk])
-                out_r.append(np.arange(1, kk + 1, dtype=np.int64))
-                out_ok.append(np.full(kk, complete))
-            if not out_p:
-                return pa.table({point_id: pa.array([], id_type), target_id: pa.array([], tid_type),
-                                 "distance": pa.array([], pa.float64()), "rank": pa.array([], pa.int64()),
-                                 "_complete": pa.array([], pa.bool_())})
-            pid_a, tid_a = _ids_out(np.concatenate(out_p), np.concatenate(out_t))
-            return pa.table(
-                {
-                    point_id: pid_a,
-                    target_id: tid_a,
-                    "distance": pa.array(np.concatenate(out_d)),
-                    "rank": pa.array(np.concatenate(out_r)),
-                    "_complete": pa.array(np.concatenate(out_ok)),
-                }
-            )
-
-        return hash_partitioned_map(both, ["_cell"], topk_cell_partition, num_partitions)
-
     remaining = points_ds.select_columns([point_id, x_col, y_col])
+    schemas = _input_schemas(remaining, targets_ds, point_id, target_id, "knn_join")
+
+    def top_k(cell: float, covers_all: bool):
+        def kernel(points: pa.Table, targets: pa.Table) -> pa.Table:
+            p, t, d, rank, ok = [], [], [], [], []
+            for pids, tids, d2 in _cell_blocks(points, targets, point_id, target_id):
+                dist = np.sqrt(d2)
+                take = min(k, len(tids))
+                # stable on distance: ties keep the block's tid order
+                sel = np.argsort(dist, axis=1, kind="stable")[:, :take]
+                dk = np.take_along_axis(dist, sel, axis=1)
+                complete = np.full(len(pids), covers_all)
+                if take == k:
+                    complete |= dk[:, k - 1] < cell
+                p.append(np.repeat(pids, take))
+                t.append(tids[sel].reshape(-1))
+                d.append(dk.reshape(-1))
+                rank.append(np.tile(np.arange(1, take + 1, dtype=np.int64), len(pids)))
+                ok.append(np.repeat(complete, take))
+            pid = _cat(p, np.int64)
+            order = np.argsort(pid, kind="stable")
+            # points with no candidate emit nothing: they stay in the
+            # remainder and retry at the next, coarser pass
+            return pa.table({
+                point_id: pa.array(pid[order]).cast(points.schema.field(point_id).type),
+                target_id: pa.array(_cat(t, np.int64)[order]).cast(targets.schema.field(target_id).type),
+                "distance": pa.array(_cat(d, np.float64)[order]),
+                "rank": pa.array(_cat(rank, np.int64)[order]),
+                "_complete": pa.array(_cat(ok, bool)[order]),
+            })
+
+        return kernel
+
     n_remaining = remaining.count()
     outs = []
     cd = float(cell_deg)
     while True:
         covers_all = cd >= 360.0  # one cell spans the lon/lat domain -> exact
-        ranked = one_pass(remaining, cd, covers_all).materialize()
+        ranked = _cell_exchange(
+            remaining, targets_ds, schemas, cd, top_k(cd, covers_all), x_col=x_col, y_col=y_col,
+            point_id=point_id, target_id=target_id, num_partitions=num_partitions,
+        ).materialize()
         complete = ranked.map_batches(
             lambda t: t.filter(pc.equal(t["_complete"], True)).drop_columns(["_complete"]),
             batch_format="pyarrow",
@@ -283,20 +270,10 @@ def knn_join(
         if n_bad == 0 and n_rows == k * n_remaining:
             break
         # remainder = points not yet complete. The anti-join tolerates
-        # duplicate right keys, so the complete rows' id column is used
-        # directly (no dedup aggregate). Ray's map_groups can emit
-        # zero-column empty blocks for empty partitions; normalize them.
-        empty_ids = pa.table({point_id: pa.array([], id_type)})
-        done_ids = complete.map_batches(
-            lambda t: t.select([point_id]) if point_id in t.column_names else empty_ids,
-            batch_format="pyarrow",
-        )
+        # duplicate right keys and reads only the key column of `complete`
         remaining = hash_join(
-            remaining, done_ids, on=[point_id], how="left_anti", num_partitions=num_partitions,
-            left_schema=pa.schema(
-                [(point_id, id_type), (x_col, p_types[x_col]), (y_col, p_types[y_col])]
-            ),
-            right_schema=pa.schema([(point_id, id_type)]),
+            remaining, complete, on=[point_id], how="left_anti", num_partitions=num_partitions,
+            left_schema=schemas[0], right_schema=pa.schema([schemas[0].field(point_id)]),
         ).materialize()
         n_remaining = remaining.count()
         if n_remaining == 0:
@@ -412,14 +389,13 @@ def dwithin_join(
     """All-pairs within-distance join (ST_DWithin): every (point, target)
     pair with planar euclidean distance <= ``distance``.
 
-    Single exact pass — with cell size >= distance, any qualifying pair is
-    inside the point's 3x3 cell block, so targets replicate to the 9
-    neighbors, points key to their own cell, and each pair materializes in
-    EXACTLY one partition (the point's cell): no dedup exchange needed.
-    Per-partition scoring is strip-chunked (one (strip, m) distance block at
-    a time, ``strip_cost`` bounds the block area) so a dense cell can't blow
-    a task heap; the only quadratic term left is the OUTPUT itself, which is
-    the query's answer.
+    Single exact pass — one :func:`_cell_exchange` with cell size >=
+    distance, so any qualifying pair is inside the point's 3x3 cell block
+    and materializes in EXACTLY one partition (the point's cell): no dedup
+    exchange needed. Per-partition scoring reads :func:`_cell_blocks` (one
+    (strip, m) distance block at a time, ``strip_cost`` bounds the block
+    area) so a dense cell can't blow a task heap; the only quadratic term
+    left is the OUTPUT itself, which is the query's answer.
 
     ``canonical=True`` keeps only ``pid < tid`` pairs — the self-join form
     used for coordinate near-duplicate dedup (feed the pairs to
@@ -430,11 +406,6 @@ def dwithin_join(
     lon/lat data pass ``distance`` in degrees or project first. Output:
     (point_id, target_id, distance).
     """
-    import pyarrow.compute as pc
-
-    from geopolars_ray.geom import tiles as tiles_mod
-    from geopolars_ray.stages.agg import hash_partitioned_map
-
     if not distance > 0:
         raise ValueError("distance must be > 0")
     cd = float(cell_size) if cell_size is not None else float(distance)
@@ -443,114 +414,24 @@ def dwithin_join(
             f"cell_size ({cd}) must be >= distance ({distance}) — the 3x3 "
             "block is only provably complete when one cell covers the radius"
         )
-    p_schema = points_ds.schema()
-    t_schema = targets_ds.schema()
-    if p_schema is None or t_schema is None:
-        raise ValueError("dwithin_join could not resolve input schemas")
-    id_type = dict(zip(p_schema.names, p_schema.types))[point_id]
-    tid_type = dict(zip(t_schema.names, t_schema.types))[target_id]
-    for _nm, _t in ((point_id, id_type), (target_id, tid_type)):
-        if not pa.types.is_integer(_t):
-            raise ValueError(
-                f"dwithin_join requires integer id columns; {_nm!r} is {_t}"
-            )
-    ny = int(np.ceil(180.0 / cd))
+    schemas = _input_schemas(points_ds, targets_ds, point_id, target_id, "dwithin_join")
+    d2max = float(distance) * float(distance)
 
-    def target_side(batch: pa.Table) -> pa.Table:
-        x = batch[x_col].to_numpy(zero_copy_only=False)
-        y = batch[y_col].to_numpy(zero_copy_only=False)
-        cell = tiles_mod.grid_tile_id(x, y, cd)
-        reps, cells = [], []
-        for dx in (-ny, 0, ny):
-            for dy in (-1, 0, 1):
-                reps.append(np.arange(len(x)))
-                cells.append(cell + dx + dy)
-        rows = np.concatenate(reps)
-        rep = batch.select([target_id, x_col, y_col]).take(pa.array(rows))
-        n = len(rows)
+    def pairs(points: pa.Table, targets: pa.Table) -> pa.Table:
+        p, t, d = [], [], []
+        for pids, tids, d2 in _cell_blocks(points, targets, point_id, target_id, strip_cost):
+            ii, jj = np.nonzero(d2 <= d2max)
+            if canonical:
+                keep = pids[ii] < tids[jj]
+                ii, jj = ii[keep], jj[keep]
+            p.append(pids[ii])
+            t.append(tids[jj])
+            d.append(np.sqrt(d2[ii, jj]))
         return pa.table({
-            point_id: pa.nulls(n, id_type),
-            target_id: rep[target_id],
-            "_x": rep[x_col], "_y": rep[y_col],
-            "_cell": pa.array(np.concatenate(cells)),
-            "_side": pa.array(np.ones(n, dtype=np.int8)),
+            point_id: pa.array(_cat(p, np.int64)).cast(points.schema.field(point_id).type),
+            target_id: pa.array(_cat(t, np.int64)).cast(targets.schema.field(target_id).type),
+            "distance": pa.array(_cat(d, np.float64)),
         })
 
-    def point_side(batch: pa.Table) -> pa.Table:
-        x = batch[x_col].to_numpy(zero_copy_only=False)
-        y = batch[y_col].to_numpy(zero_copy_only=False)
-        n = len(batch)
-        return pa.table({
-            point_id: batch[point_id],
-            target_id: pa.nulls(n, tid_type),
-            "_x": batch[x_col], "_y": batch[y_col],
-            "_cell": pa.array(tiles_mod.grid_tile_id(x, y, cd)),
-            "_side": pa.array(np.zeros(n, dtype=np.int8)),
-        })
-
-    both = points_ds.map_batches(point_side, batch_format="pyarrow").union(
-        targets_ds.map_batches(target_side, batch_format="pyarrow")
-    )
-
-    empty = pa.table({point_id: pa.array([], id_type), target_id: pa.array([], tid_type),
-                      "distance": pa.array([], pa.float64())})
-
-    def pairs_cell_partition(part: pa.Table) -> pa.Table:
-        lm = pc.equal(part["_side"], 0)
-        P = part.filter(lm)
-        T = part.filter(pc.invert(lm))
-        if P.num_rows == 0 or T.num_rows == 0:
-            return empty
-        ppid = P[point_id].to_numpy(zero_copy_only=False).astype(np.int64)
-        px = P["_x"].to_numpy(zero_copy_only=False)
-        py = P["_y"].to_numpy(zero_copy_only=False)
-        pcell = P["_cell"].to_numpy(zero_copy_only=False)
-        ttid = T[target_id].to_numpy(zero_copy_only=False).astype(np.int64)
-        tx = T["_x"].to_numpy(zero_copy_only=False)
-        ty = T["_y"].to_numpy(zero_copy_only=False)
-        tcell = T["_cell"].to_numpy(zero_copy_only=False)
-        tor = np.lexsort((ttid, tcell))
-        tcell_s, ttid_s, tx_s, ty_s = tcell[tor], ttid[tor], tx[tor], ty[tor]
-        por = np.argsort(pcell, kind="stable")
-        pcell_s = pcell[por]
-        cuts = np.nonzero(np.diff(pcell_s))[0] + 1
-        out_p, out_t, out_d = [], [], []
-        d2max = float(distance) * float(distance)
-        for rows in np.split(por, cuts):
-            c = pcell[rows[0]]
-            t0, t1 = np.searchsorted(tcell_s, [c, c + 1])
-            if t0 == t1:
-                continue
-            ct, cx, cy = ttid_s[t0:t1], tx_s[t0:t1], ty_s[t0:t1]
-            if len(ct) > 1:  # drop 3x3-offset alias duplicates (tid-adjacent)
-                uniq = np.ones(len(ct), dtype=bool)
-                uniq[1:] = ct[1:] != ct[:-1]
-                ct, cx, cy = ct[uniq], cx[uniq], cy[uniq]
-            m = len(ct)
-            step = max(1, strip_cost // m)
-            for s0 in range(0, len(rows), step):
-                blk = rows[s0 : s0 + step]
-                d2 = (px[blk, None] - cx[None, :]) ** 2 + (py[blk, None] - cy[None, :]) ** 2
-                ii, jj = np.nonzero(d2 <= d2max)
-                if not len(ii):
-                    continue
-                gp = ppid[blk][ii]
-                gt = ct[jj]
-                if canonical:
-                    keep = gp < gt
-                    gp, gt, ii, jj = gp[keep], gt[keep], ii[keep], jj[keep]
-                    if not len(gp):
-                        continue
-                out_p.append(gp)
-                out_t.append(gt)
-                out_d.append(np.sqrt(d2[ii, jj]))
-        if not out_p:
-            return empty
-        return pa.table({
-            point_id: pa.array(np.concatenate(out_p)).cast(id_type),
-            target_id: pa.array(np.concatenate(out_t)).cast(tid_type),
-            "distance": pa.array(np.concatenate(out_d)),
-        })
-
-    return hash_partitioned_map(both, ["_cell"], pairs_cell_partition,
-                                num_partitions=num_partitions)
+    return _cell_exchange(points_ds, targets_ds, schemas, cd, pairs, x_col=x_col, y_col=y_col,
+                          point_id=point_id, target_id=target_id, num_partitions=num_partitions)

@@ -52,7 +52,7 @@ from geopolars_ray.geom.array import GeometryArray
 from geopolars_ray.geom.buffer import _union_tree
 from geopolars_ray.geom.overlay import boolean_op
 from geopolars_ray.geom.strtree import STRTree
-from geopolars_ray.stages.agg import hash_partitioned_map
+from geopolars_ray.stages.agg import concat_blocks, hash_partitioned_map
 
 HOWS = ("intersection", "difference", "identity", "union",
         "symmetric_difference")
@@ -196,10 +196,8 @@ def _right_residual_table(left_ds, right: pa.Table, geometry_col: str,
 
     folded = hash_partitioned_map(cand, [_RIGHT_ID], fold,
                                   num_partitions=num_partitions)
-    parts = [t for t in ray.get(folded.to_arrow_refs()) if t.num_columns > 0]
-    touched = (pa.concat_tables(parts) if parts
-               else pa.table({_RIGHT_ID: pa.array([], pa.int64()),
-                              geometry_col: pa.array([], pa.binary())}))
+    touched = concat_blocks(folded, pa.table({_RIGHT_ID: pa.array([], pa.int64()),
+                                              geometry_col: pa.array([], pa.binary())}))
     seen = set(touched[_RIGHT_ID].to_pylist())
     rest_ids = [i for i, g in enumerate(right_geoms)
                 if i not in seen and g is not None]

@@ -205,6 +205,34 @@ def test_hash_join_modes(ray_session):
     assert by_k[1]["rv"] is None and by_k[2]["rv"] == 20.0
 
 
+def test_hash_join_same_name_value_columns(ray_session):
+    """A right value column named like a left non-key column arrives as
+    ``<name>_r`` with the right side's values, whether the two share a type
+    (and so one union column in the exchange) or not."""
+    import ray
+    from geopolars_ray.stages.hashjoin import hash_join
+
+    left = pa.table({"k": pa.array([1, 2, 3, 4], pa.int64()),
+                     "v": pa.array([10.0, 20.0, 30.0, 40.0]),
+                     "w": pa.array([1, 2, 3, 4], pa.int64())})
+    right = pa.table({"k": pa.array([2, 3, 3, 9], pa.int64()),
+                      "v": pa.array([-2.0, -3.0, -3.5, -9.0]),
+                      "w": pa.array(["b", "c", "cc", "z"])})
+    L = ray.data.from_arrow(left).repartition(3)
+    R = ray.data.from_arrow(right).repartition(2)
+    inner = hash_join(L, R, on=["k"], how="inner", num_partitions=4).take_all()
+    got = sorted((r["k"], r["v"], r["w"], r["v_r"], r["w_r"]) for r in inner)
+    assert got == [(2, 20.0, 2, -2.0, "b"), (3, 30.0, 3, -3.5, "cc"), (3, 30.0, 3, -3.0, "c")]
+    lj = hash_join(L, R, on=["k"], how="left", num_partitions=4).take_all()
+    by_k = sorted((r["k"], r["v"], r["v_r"], r["w_r"]) for r in lj if r["k"] != 3)
+    assert by_k == [(1, 10.0, None, None), (2, 20.0, -2.0, "b"), (4, 40.0, None, None)]
+    # a right key named differently: the left key column is never shared
+    R2 = ray.data.from_arrow(pa.table({"kk": pa.array([2, 4], pa.int64()),
+                                       "k": pa.array([7, 8], pa.int64())}))
+    out = hash_join(L, R2, on=["k"], right_on=["kk"], how="inner", num_partitions=4).take_all()
+    assert sorted((r["k"], r["k_r"]) for r in out) == [(2, 7), (4, 8)]
+
+
 def test_sliding_window_aggregate(ray_session):
     import ray
     from geopolars_ray.stages.window import sliding_window_aggregate

@@ -174,3 +174,21 @@ def test_dissolve_rejects_nonpolygonal(ray_session):
         _run(gds.dissolve("k").dataset)
     with pytest.raises(ValueError, match="key column"):
         gds.dissolve([])
+
+
+def test_dissolve_to_file_after_exchange(ray_session, tmp_path):
+    """to_file collects an exchange's output: the sort exchange emits a
+    zero-column block for each empty sort range (most of them with 4
+    partitions over 16 input blocks), and the collect skips those."""
+    import ray
+
+    from geopolars_ray.api import GeoDataset
+
+    geoms = [sq(i, 0, i + 1, 1) for i in range(32)]
+    t = pa.table({"geometry": encode_wkb(GeometryArray.from_pylist(geoms)),
+                  "k": pa.array([i % 6 for i in range(32)], pa.int64())})
+    gds = GeoDataset(ray.data.from_arrow(t).repartition(16))
+    path = gds.dissolve("k", num_partitions=4).to_file(str(tmp_path / "x.geojson"))
+    back = GeoDataset.read_file(path).dataset.to_pandas()
+    assert sorted(back["k"].tolist()) == list(range(6))
+    assert sorted(back["n_rows"].tolist()) == [5, 5, 5, 5, 6, 6]

@@ -86,6 +86,21 @@ def test_wkb_nulls():
     assert back.to_pylist() == [("point", (1.0, 2.0)), None]
 
 
+def test_wkb_truncated_row_raises_naming_the_row():
+    """A count that runs past its row's end must not read the next row."""
+    import struct
+
+    line = struct.pack("<BII", 1, 2, 3) + struct.pack("<4d", 0.0, 0.0, 1.0, 1.0)  # 2 of 3 points
+    point = struct.pack("<BI2d", 1, 1, 5.0, 6.0)
+    with pytest.raises(ValueError, match="row 0"):
+        decode_wkb(pa.array([line, point], type=pa.binary()))
+    with pytest.raises(ValueError, match="row 1"):
+        decode_wkb(pa.array([point, line], type=pa.binary()))
+    ring = struct.pack("<BII", 1, 3, 2) + struct.pack("<I", 1) + struct.pack("<2d", 0.0, 0.0)
+    with pytest.raises(ValueError, match="row 0"):  # polygon missing its second ring count
+        decode_wkb(pa.array([ring, point], type=pa.binary()))
+
+
 def test_area():
     ga = GeometryArray.from_pylist(SAMPLE)
     a = K.area(ga)

@@ -169,3 +169,42 @@ def test_dwithin_self_join_geo_dedup(ray_session):
         trio = [s, s + 40, s + 80]
         assert len({labels[i] for i in trio}) == 1
     assert len({labels[i] for i in range(n)}) == 40
+
+
+def test_distance_joins_on_cell_edges(ray_session):
+    """Points and targets on a 0.5-spaced lattice sit on the edges of the
+    0.5 cells and at exactly the radius from each other, with duplicate
+    coordinates; 8 input blocks go through 3 partitions. dwithin_join
+    (plain and canonical) and knn_join equal brute force exactly."""
+    import ray.data
+
+    from geopolars_ray.stages.knn import dwithin_join, knn_join
+
+    rng = np.random.default_rng(13)
+    n, m, r, k = 500, 300, 0.5, 5
+    px, py = rng.integers(-6, 6, n) * r, rng.integers(-6, 6, n) * r
+    tx, ty = rng.integers(-6, 6, m) * r, rng.integers(-6, 6, m) * r
+    pts = ray.data.from_arrow(pa.table({"pid": np.arange(n), "x": px, "y": py})).repartition(8)
+    tgt = ray.data.from_arrow(pa.table({"tid": np.arange(m), "x": tx, "y": ty})).repartition(8)
+    d2 = (px[:, None] - tx[None, :]) ** 2 + (py[:, None] - ty[None, :]) ** 2
+
+    got = sorted((r_["pid"], r_["tid"], r_["distance"])
+                 for r_ in dwithin_join(pts, tgt, r, num_partitions=3).take_all())
+    ii, jj = np.nonzero(d2 <= r * r)
+    assert got == sorted(zip(ii.tolist(), jj.tolist(), np.sqrt(d2[ii, jj]).tolist()))
+
+    selfs = ray.data.from_arrow(pa.table({"tid": np.arange(n), "x": px, "y": py})).repartition(8)
+    got = sorted((r_["pid"], r_["tid"]) for r_ in
+                 dwithin_join(pts, selfs, r, canonical=True, num_partitions=3).take_all())
+    dp = (px[:, None] - px[None, :]) ** 2 + (py[:, None] - py[None, :]) ** 2
+    ii, jj = np.nonzero((dp <= r * r) & (np.arange(n)[:, None] < np.arange(n)[None, :]))
+    assert got == list(zip(ii.tolist(), jj.tolist()))
+
+    got = sorted((r_["pid"], r_["rank"], r_["tid"], r_["distance"]) for r_ in
+                 knn_join(pts, tgt, k=k, cell_deg=r, num_partitions=3).take_all())
+    dist = np.sqrt(d2)
+    want = []
+    for i in range(n):
+        order = np.lexsort((np.arange(m), dist[i]))[:k]
+        want += [(i, rank + 1, int(j), dist[i, j]) for rank, j in enumerate(order)]
+    assert got == want
