@@ -1,11 +1,12 @@
-"""As-of (nearest-prior) join over keyed event streams.
+"""As-of (nearest-prior) join and interval join over keyed event streams.
 
 Not in the reference (it has no temporal joins); part of the beyond-reference
 operator set for event tables. Standard distributed shape (the as-of pattern
-from the Ray Data join guidance): hash-partition both sides on the key so
-every key's rows co-locate — implemented as a null-padded schema-aligned
-union tagged with a side column — then one ``pandas.merge_asof`` with
-``by=key`` per partition (no per-key engine overhead).
+from the Ray Data join guidance): co-partition both sides on the key with
+``stages/hashjoin.py co_partitioned_map`` so every key's rows co-locate,
+then one vectorised kernel per partition: ``pandas.merge_asof`` with
+``by=key`` for :func:`asof_join`, searchsorted range lookups per
+(key, time bucket) for :func:`interval_join` (no per-key engine overhead).
 """
 
 from __future__ import annotations
@@ -15,6 +16,20 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+
+def _input_schemas(left_ds, right_ds, op: str) -> tuple[pa.Schema, pa.Schema]:
+    """The Arrow schemas of both inputs."""
+    out = []
+    for ds in (left_ds, right_ds):
+        sch = ds.schema()
+        if sch is None:
+            raise ValueError(
+                f"{op} could not resolve input schemas (lazy pipeline whose "
+                "first block is empty?) — materialize the inputs first"
+            )
+        out.append(pa.schema(list(zip(sch.names, sch.types))))
+    return tuple(out)
 
 
 def asof_join(
@@ -32,54 +47,18 @@ def asof_join(
     Output columns: all left columns + ``<right_col><suffix>`` per requested
     right column.
     """
-    from geopolars_ray.stages.agg import hash_partitioned_map
+    from geopolars_ray.stages.hashjoin import co_partitioned_map
 
     right_cols = list(right_cols)
     suff_cols = [c + suffix for c in right_cols]
-    lschema = left_ds.schema()
-    rschema = right_ds.schema()
-    if lschema is None or rschema is None:
-        raise ValueError(
-            "asof_join could not resolve input schemas (lazy pipeline whose "
-            "first block is empty?) — materialize the inputs first"
-        )
-    rtypes = dict(zip(rschema.names, rschema.types))
-    left_names = list(lschema.names)
+    lschema, rschema = _input_schemas(left_ds, right_ds, "asof_join")
+    right_names = list(dict.fromkeys([key, ts_col, *right_cols]))
 
-    def pad_left(batch: pa.Table) -> pa.Table:
-        out = batch.select(left_names)
-        for c, sc in zip(right_cols, suff_cols):
-            out = out.append_column(sc, pa.nulls(len(batch), rtypes[c]))
-        return out.append_column("_side", pa.array(np.zeros(len(batch), dtype=np.int8)))
-
-    ltypes = dict(zip(lschema.names, lschema.types))
-
-    def pad_right(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for name in left_names:
-            if name in (key, ts_col):
-                cols[name] = batch[name]
-            else:
-                cols[name] = pa.nulls(len(batch), ltypes[name])
-        for c, sc in zip(right_cols, suff_cols):
-            cols[sc] = batch[c]
-        out = pa.table(cols)
-        return out.append_column("_side", pa.array(np.ones(len(batch), dtype=np.int8)))
-
-    both = left_ds.map_batches(pad_left, batch_format="pyarrow").union(
-        right_ds.map_batches(pad_right, batch_format="pyarrow")
-    )
-
-    def per_partition(part: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
+    def per_partition(l_tab: pa.Table, r_tab: pa.Table) -> pa.Table:
         # merge_asof runs on (key, ts, positional index) ONLY; value columns
         # never round-trip through pandas, so output types and values stay
         # bit-exact (float64 NaN-padding would silently lose int64 precision
         # above 2^53 and change the schema).
-        l_tab = part.filter(pc.equal(part["_side"], 0)).select(left_names)
-        r_tab = part.filter(pc.equal(part["_side"], 1)).select([key, ts_col, *suff_cols])
-
         def ts_sortable(col: pa.ChunkedArray) -> np.ndarray:
             # timestamps/ints -> int64 microseconds; floats stay float (any
             # sortable numeric ts works, matching the pre-rewrite contract)
@@ -107,12 +86,16 @@ def asof_join(
         out = l_tab.take(pa.array(lidx))
         miss = np.isnan(ridx)
         r_take = pa.array(np.where(miss, 0, ridx).astype(np.int64), mask=miss)
-        r_vals = r_tab.select(suff_cols).take(r_take)
-        for sc in suff_cols:
-            out = out.append_column(sc, r_vals[sc])
+        r_vals = r_tab.select(right_cols).take(r_take)
+        for i, sc in enumerate(suff_cols):
+            out = out.append_column(sc, r_vals.column(i))
         return out
 
-    return hash_partitioned_map(both, [key], per_partition, num_partitions)
+    return co_partitioned_map(
+        left_ds, right_ds.select_columns(right_names), [key], per_partition,
+        num_partitions=num_partitions, left_schema=lschema,
+        right_schema=pa.schema([rschema.field(c) for c in right_names]),
+    )
 
 
 def interval_join(
@@ -139,22 +122,14 @@ def interval_join(
     Output: key, ts, ``left_cols``, ``<right_col><suffix>``..., ``dt_us``.
     """
     from geopolars_ray.geom.array import _expand_ranges
-    from geopolars_ray.stages.agg import hash_partitioned_map
+    from geopolars_ray.stages.hashjoin import co_partitioned_map
 
     if tolerance_us <= 0:
         raise ValueError("tolerance_us must be positive")
     left_cols = [c for c in left_cols if c not in (key, ts_col)]
     right_cols = list(right_cols)
     suff_cols = [c + suffix for c in right_cols]
-    lschema = left_ds.schema()
-    rschema = right_ds.schema()
-    if lschema is None or rschema is None:
-        raise ValueError(
-            "interval_join could not resolve input schemas (lazy pipeline "
-            "whose first block is empty?) — materialize the inputs first"
-        )
-    ltypes = dict(zip(lschema.names, lschema.types))
-    rtypes = dict(zip(rschema.names, rschema.types))
+    lschema, rschema = _input_schemas(left_ds, right_ds, "interval_join")
 
     def _ts_us(batch: pa.Table) -> np.ndarray:
         col = batch[ts_col]
@@ -162,50 +137,23 @@ def interval_join(
             raise ValueError("interval_join requires non-null timestamps")
         return col.cast(pa.int64()).to_numpy(zero_copy_only=False)
 
-    def pad_left(batch: pa.Table) -> pa.Table:
+    def bucket_left(batch: pa.Table) -> pa.Table:
         us = _ts_us(batch)
-        n = len(batch)
-        cols = {key: batch[key], "_us": pa.array(us), "_bucket": pa.array(us // tolerance_us)}
-        for c in left_cols:
-            cols[c] = batch[c]
-        for c, sc in zip(right_cols, suff_cols):
-            cols[sc] = pa.nulls(n, rtypes[c])
-        t = pa.table(cols)
-        return t.append_column("_side", pa.array(np.zeros(n, dtype=np.int8)))
+        return pa.table({key: batch[key], "_us": pa.array(us), "_bucket": pa.array(us // tolerance_us),
+                         **{c: batch[c] for c in left_cols}})
 
-    def pad_right(batch: pa.Table) -> pa.Table:
+    def bucket_right(batch: pa.Table) -> pa.Table:
         us = _ts_us(batch)
-        n = len(batch)
-        rows = np.tile(np.arange(n, dtype=np.int64), 3)
+        rows = np.tile(np.arange(len(batch), dtype=np.int64), 3)
         buckets = np.concatenate([us // tolerance_us + d for d in (-1, 0, 1)])
         rep = batch.take(pa.array(rows))
-        rus = us[rows]
-        cols = {key: rep[key], "_us": pa.array(rus), "_bucket": pa.array(buckets)}
-        for c in left_cols:
-            cols[c] = pa.nulls(len(rows), ltypes[c])
-        for c, sc in zip(right_cols, suff_cols):
-            cols[sc] = rep[c]
-        t = pa.table(cols)
-        return t.append_column("_side", pa.array(np.ones(len(rows), dtype=np.int8)))
+        return pa.table({key: rep[key], "_us": pa.array(us[rows]), "_bucket": pa.array(buckets),
+                         **{sc: rep[c] for c, sc in zip(right_cols, suff_cols)}})
 
-    both = left_ds.map_batches(pad_left, batch_format="pyarrow").union(
-        right_ds.map_batches(pad_right, batch_format="pyarrow")
-    )
-
-    def per_partition(part: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        lm = pc.equal(part["_side"], 0)
-        L = part.filter(lm)
-        R = part.filter(pc.invert(lm))
-        empty = pa.table(
-            {key: pa.array([], ltypes[key]), "ts_us": pa.array([], pa.int64()),
-             **{c: pa.array([], ltypes[c]) for c in left_cols},
-             **{sc: pa.array([], rtypes[c]) for c, sc in zip(right_cols, suff_cols)},
-             "dt_us": pa.array([], pa.int64())}
-        )
+    def match_pairs(L: pa.Table, R: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices into L and R of every in-tolerance pair."""
         if L.num_rows == 0 or R.num_rows == 0:
-            return empty
+            return np.empty(0, np.int64), np.empty(0, np.int64)
         lk = L[key].to_numpy(zero_copy_only=False)
         lus = L["_us"].to_numpy(zero_copy_only=False)
         lb = L["_bucket"].to_numpy(zero_copy_only=False)
@@ -240,22 +188,32 @@ def interval_join(
             out_l.append(np.repeat(np.arange(s, e, dtype=np.int64), counts))
             out_r.append(b0 + _expand_ranges(lo, hi))
         if not out_l:
-            return empty
-        li = np.concatenate(out_l)
-        ri = np.concatenate(out_r)
-        l_rows = L.take(pa.array(lo_order[li]))
-        r_rows = R.take(pa.array(ro_order[ri]))
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        return lo_order[np.concatenate(out_l)], ro_order[np.concatenate(out_r)]
+
+    def per_partition(L: pa.Table, R: pa.Table) -> pa.Table:
+        li, ri = match_pairs(L, R)
+        l_rows = L.take(pa.array(li))
+        r_rows = R.take(pa.array(ri))
         cols = {key: l_rows[key], "ts_us": l_rows["_us"]}
         for c in left_cols:
             cols[c] = l_rows[c]
         for c, sc in zip(right_cols, suff_cols):
             cols[sc] = r_rows[sc]
         dt = r_rows["_us"].to_numpy(zero_copy_only=False) - l_rows["_us"].to_numpy(zero_copy_only=False)
-        cols["dt_us"] = pa.array(dt)
+        cols["dt_us"] = pa.array(dt, pa.int64())
         return pa.table(cols)
 
+    us_fields = [pa.field("_us", pa.int64()), pa.field("_bucket", pa.int64())]
     # partition on (key, bucket): a hot key's rows spread over its time
     # buckets instead of landing in one partition — the reason the right
     # side replicates to bucket±1 (each pair still co-locates exactly once,
     # in the left row's bucket)
-    return hash_partitioned_map(both, [key, "_bucket"], per_partition, num_partitions)
+    return co_partitioned_map(
+        left_ds.map_batches(bucket_left, batch_format="pyarrow"),
+        right_ds.map_batches(bucket_right, batch_format="pyarrow"),
+        [key, "_bucket"], per_partition, num_partitions=num_partitions,
+        left_schema=pa.schema([lschema.field(key), *us_fields, *(lschema.field(c) for c in left_cols)]),
+        right_schema=pa.schema([rschema.field(key), *us_fields,
+                                *(rschema.field(c).with_name(sc) for c, sc in zip(right_cols, suff_cols))]),
+    )

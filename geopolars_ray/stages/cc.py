@@ -189,46 +189,20 @@ def connected_components(
     )
 
 
-def _label_lookup_join(docs_ds, labels, id_col: str, label_col: str,
-                       num_partitions: int, docs_schema: pa.Schema | None = None):
+def _label_lookup_join(docs_ds, labels, id_col: str, label_col: str, num_partitions: int):
     """Co-partition docs with (node,label) rows and map id→label via
     searchsorted — NOT an Acero join, so payload columns of any type
     (list<float> embeddings, binary media) ride through untouched (Acero
     rejects nested types as join non-key fields). Missing ids get their own
     id as label (singleton semantics)."""
-    from geopolars_ray.stages.agg import hash_partitioned_map
+    from geopolars_ray.stages.hashjoin import co_partitioned_map
 
-    s = docs_schema if docs_schema is not None else docs_ds.schema()
-    names = list(s.names)
-    types = dict(zip(s.names, s.types))
-
-    def pad_docs(b: pa.Table) -> pa.Table:
-        out = b.select(names).append_column("_lab", pa.nulls(len(b), pa.int64()))
-        return out.append_column("_is_lab", pa.array(np.zeros(len(b), np.int8)))
-
-    def pad_labels(b: pa.Table) -> pa.Table:
-        cols = {}
-        for nm in names:
-            if nm == id_col:
-                cols[nm] = pc.cast(b["node"], types[id_col])
-            else:
-                cols[nm] = pa.nulls(len(b), types[nm])
-        out = pa.table(cols).append_column("_lab", b["label"])
-        return out.append_column("_is_lab", pa.array(np.ones(len(b), np.int8)))
-
-    both = docs_ds.map_batches(pad_docs, batch_format="pyarrow").union(
-        labels.map_batches(pad_labels, batch_format="pyarrow")
-    )
-
-    def per_partition(part: pa.Table) -> pa.Table:
-        is_lab = part["_is_lab"].to_numpy(zero_copy_only=False).astype(bool)
-        rows = part.filter(pa.array(~is_lab)).drop_columns(["_lab", "_is_lab"])
-        lab_part = part.filter(pa.array(is_lab))
+    def lookup(rows: pa.Table, lab_part: pa.Table) -> pa.Table:
         ids = rows[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         out_lab = ids.copy()  # singleton default: own id
         if len(lab_part):
-            ln = lab_part[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            lv = lab_part["_lab"].to_numpy(zero_copy_only=False).astype(np.int64)
+            ln = lab_part["node"].to_numpy(zero_copy_only=False).astype(np.int64)
+            lv = lab_part["label"].to_numpy(zero_copy_only=False).astype(np.int64)
             order = np.argsort(ln, kind="stable")
             ln, lv = ln[order], lv[order]
             pos = np.searchsorted(ln, ids)
@@ -237,7 +211,8 @@ def _label_lookup_join(docs_ds, labels, id_col: str, label_col: str,
             out_lab[hit] = lv[pos_c[hit]]
         return rows.append_column(label_col, pa.array(out_lab))
 
-    return hash_partitioned_map(both, [id_col], per_partition, num_partitions)
+    return co_partitioned_map(docs_ds, labels, [id_col], lookup, right_on=["node"],
+                              num_partitions=num_partitions)
 
 
 def attach_components(

@@ -11,13 +11,24 @@ empty-but-schema-correct right Dataset raises ArrowInvalid.)
 Shape (:func:`co_partitioned_map`): pad both sides to one union schema
 tagged with a ``_side`` column, hash-co-partition on the key (the same
 ``hash_partitioned_map`` exchange that backs ``hash_aggregate``), then split
-each partition back into its two sides and run one local join on them.
-:func:`hash_join` plugs in ONE ``pyarrow.Table.join`` (C++ Acero) per
-partition; the partitioned spatial join plugs in its point-in-polygon join.
+each partition back into its two sides and run one local function on them.
 Empty sides keep their schema because WE construct the partition tables, so
 empty partitions are handled correctly by construction.
 
-Supported: inner, left (outer), left_anti, left_semi on equality keys.
+``co_partitioned_map`` is the engine's one two-sided exchange. Its callers
+plug in their per-partition kernel:
+
+- :func:`hash_join`: ONE ``pyarrow.Table.join`` (C++ Acero) per partition;
+- ``stages/join.py partitioned_spatial_join``: the point-in-polygon join;
+- ``stages/knn.py`` ``knn_join`` / ``dwithin_join``: the per-cell distance
+  kernel;
+- ``stages/asof.py`` ``asof_join`` / ``interval_join``: the as-of merge and
+  the bucketed range lookup;
+- ``stages/cc.py`` ``attach_components``: the id -> label lookup;
+- ``stages/raster.py raster_math``: cell-wise band math per tile.
+
+:func:`hash_join` supports inner, left (outer), full_outer, left_anti and
+left_semi on equality keys.
 """
 
 from __future__ import annotations
@@ -54,7 +65,9 @@ def co_partitioned_map(
     ``fn`` gets the partition's left rows in the left schema and its right
     rows in the right schema: the ``right_on`` key columns, plus every other
     right column when ``right_values`` (else keys only). Either side may
-    have zero rows; it still carries its columns.
+    have zero rows; it still carries its columns. Each right key column is
+    cast to the type of its left key (zero-copy when they already match),
+    so both sides hash alike and ``fn`` sees one key type.
 
     ``left_schema``/``right_schema``: pass explicit Arrow schemas when known —
     ``Dataset.schema()`` on a lazy pipeline can return None (e.g. when the
@@ -99,7 +112,7 @@ def co_partitioned_map(
         cols = {}
         for name in lnames:
             if name in on:
-                cols[name] = b[right_on[on.index(name)]]
+                cols[name] = b[right_on[on.index(name)]].cast(ltypes[name])
             elif name in shared:
                 cols[name] = b[name]
             else:

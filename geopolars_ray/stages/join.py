@@ -52,12 +52,7 @@ from geopolars_ray.geom.array import (
     _expand_cell_rects,
     _expand_ranges,
 )
-from geopolars_ray.geom.strtree import (
-    STRTree,
-    GridIndex,
-    PreparedPolygons,
-    points_in_polygon_single,
-)
+from geopolars_ray.geom.strtree import STRTree, GridIndex, PreparedPolygons
 from geopolars_ray.geom import tiles as tiles_mod
 
 _POLYISH = (POLYGON, MULTIPOLYGON)
@@ -122,32 +117,40 @@ def _line_contains_point(segs: np.ndarray | None, px: float, py: float) -> bool:
     return bool(((cross == 0) & within).any())
 
 
-def _point_xy(ga: GeometryArray, i: int) -> np.ndarray:
-    """The coordinate of point geometry ``i``: its entry of
-    ``ga.coord_offsets()``, without composing the offsets of every row."""
+def _point_xy(ga: GeometryArray, i):
+    """The coordinate of point geometry ``i`` (or the (n, 2) coordinates of
+    an index array): its entry of ``ga.coord_offsets()``, without composing
+    the offsets of every row."""
     return ga.coords[ga.ring_offsets[ga.part_offsets[ga.geom_offsets[i]]]]
+
+
+def _points_in_polygons(points: GeometryArray, pi: np.ndarray,
+                        polys: GeometryArray, gi: np.ndarray) -> np.ndarray:
+    """Boundary-exclusive containment of point ``points[pi[k]]`` in
+    (multi)polygon ``polys[gi[k]]`` for every pair k: one
+    :meth:`PreparedPolygons.parity_on` pass over all pairs."""
+    if len(pi) == 0:
+        return np.zeros(0, dtype=bool)
+    xy = _point_xy(points, pi)
+    parity, on = PreparedPolygons.from_geometry_array(polys).parity_on(xy[:, 0], xy[:, 1], gi)
+    return parity & ~on
 
 
 def refine_pair(lhs: GeometryArray, rhs: GeometryArray, li: int, ri: int, predicate: str) -> bool:
     """Exact test for one candidate pair, following the reference's dispatch
     (`spatial_index.rs:89-137`) including its quirks:
 
-    - Point ⊗ (Multi)Polygon — IN EITHER OPERAND ORDER (`:90-96`) — uses
-      polygon-contains-point regardless of the requested predicate,
-      boundary-exclusive;
     - (Multi)Polygon ⊗ Polygon honors Contains vs Intersects (`:98-116`);
     - Polygon ⊗ MultiPolygon supports only Intersects (`:118-123`);
     - Line-ish ⊗ Point — in either order (`:125-135`) — uses
       line-contains-point;
     - every other type pair is silently false (`:136`).
+
+    Point ⊗ (Multi)Polygon pairs (`:90-96`) are not tested here:
+    :func:`spatial_join_table` refines all of them in one batch
+    (:func:`_points_in_polygons`).
     """
     lt, rt = int(lhs.types[li]), int(rhs.types[ri])
-    if lt == POINT and rt in _POLYISH:
-        p = _point_xy(lhs, li)
-        return bool(points_in_polygon_single(np.array([p[0]]), np.array([p[1]]), _rings_of(rhs, ri))[0])
-    if lt in _POLYISH and rt == POINT:
-        p = _point_xy(rhs, ri)
-        return bool(points_in_polygon_single(np.array([p[0]]), np.array([p[1]]), _rings_of(lhs, li))[0])
     if lt in _POLYISH and rt == POLYGON:
         return _poly_poly(
             _rings_of(lhs, li), _rings_of(rhs, ri), want_contains=(predicate == "contains"), l_contains_r=True
@@ -205,26 +208,25 @@ def spatial_join_table(
     rg = decode_wkb(rhs[geometry_col])
     lb = np.column_stack(K.bounds(lg))
     rb = np.column_stack(K.bounds(rg))
-    tree = STRTree(rb)
-    li_list: list[int] = []
-    ri_list: list[int] = []
-    for i in range(len(lg)):
-        if np.isnan(lb[i]).any():
-            continue
-        cand = tree.query_box(lb[i, 0], lb[i, 1], lb[i, 2], lb[i, 3])
-        for j in cand:
-            # within(l, r) == contains(r, l) (GeoPandas-parity extension
-            # beyond the reference's intersects/contains dispatch); bbox
-            # candidates are symmetric so only the refinement flips sides
-            if predicate == "within":
-                hit = refine_pair(rg, lg, int(j), i, "contains")
-            else:
-                hit = refine_pair(lg, rg, i, int(j), predicate)
-            if hit:
-                li_list.append(i)
-                ri_list.append(int(j))
-    li = np.array(li_list, dtype=np.int64)
-    ri = np.array(ri_list, dtype=np.int64)
+    li, ri = STRTree(rb).query_boxes(lb)  # (i, ascending j) candidate pairs
+    lt, rt = lg.types[li], rg.types[ri]
+    # Point ⊗ (Multi)Polygon in either operand order (`:90-96`): the polygon
+    # contains the point, boundary-exclusive, whatever the predicate
+    pt_poly = (lt == POINT) & np.isin(rt, _POLYISH)
+    poly_pt = np.isin(lt, _POLYISH) & (rt == POINT)
+    keep = np.zeros(len(li), dtype=bool)
+    keep[pt_poly] = _points_in_polygons(lg, li[pt_poly], rg, ri[pt_poly])
+    keep[poly_pt] = _points_in_polygons(rg, ri[poly_pt], lg, li[poly_pt])
+    for k in np.flatnonzero(~(pt_poly | poly_pt)):
+        i, j = int(li[k]), int(ri[k])
+        # within(l, r) == contains(r, l) (GeoPandas-parity extension
+        # beyond the reference's intersects/contains dispatch); bbox
+        # candidates are symmetric so only the refinement flips sides
+        if predicate == "within":
+            keep[k] = refine_pair(rg, lg, j, i, "contains")
+        else:
+            keep[k] = refine_pair(lg, rg, i, j, predicate)
+    li, ri = li[keep], ri[keep]
 
     lhs_sfx = lhs.rename_columns([c + l_suffix for c in lhs.column_names])
     rhs_sfx = rhs.rename_columns([c + r_suffix for c in rhs.column_names])

@@ -29,8 +29,6 @@ parallelism levels and retries).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import pyarrow as pa
 
@@ -119,19 +117,15 @@ def pack_greedy(ds, id_col: str = "doc_id", tokens_col: str = "n_tokens",
 
 
 def _dispatch(ds, id_col: str, tokens_col: str, budget: int, num_partitions: int, greedy: bool):
-    from geopolars_ray.stages.agg import _hash_part
+    from geopolars_ray.stages.agg import _hash_part, hash_partitioned_map
 
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_part", _hash_part(batch, [id_col], num_partitions))
+    def pack_partition(part: pa.Table) -> pa.Table:
+        # every row of a partition hashes to its id; the exchange never
+        # hands over an empty partition
+        part_id = int(_hash_part(part.slice(0, 1), [id_col], num_partitions)[0].as_py())
+        return _partition_pack(part, id_col, tokens_col, budget, greedy, part_id)
 
-    def run(group: pa.Table) -> pa.Table:
-        part_id = int(group["_part"][0].as_py())
-        return _partition_pack(group.drop_columns(["_part"]), id_col, tokens_col,
-                               budget, greedy, part_id)
-
-    return ds.map_batches(tag, batch_format="pyarrow").groupby("_part").map_groups(
-        run, batch_format="pyarrow"
-    )
+    return hash_partitioned_map(ds, [id_col], pack_partition, num_partitions)

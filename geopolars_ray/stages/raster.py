@@ -938,10 +938,13 @@ def raster_math(
     """Cell-wise algebra between two tile-aligned raster datasets (band
     math: NDVI-style ratios, differences, masking).  ``op``: add | sub |
     mul | div | min | max.  Tiles present on only one side pair with a
-    constant ``fill`` grid.  Shuffle plan: tag each side, union, one
-    ``hash_partitioned_map`` on the tile id — each tile's pair meets in
-    exactly one partition; grids never cross a second exchange.
+    constant ``fill`` grid; a tile repeated on one side is the sum of its
+    grids.  Shuffle plan: one ``co_partitioned_map`` (``stages/hashjoin.py``)
+    on the tile id — each tile's pair meets in exactly one partition;
+    grids never cross a second exchange.
     """
+    from geopolars_ray.stages.hashjoin import co_partitioned_map
+
     _OPS = {
         "add": np.add, "sub": np.subtract, "mul": np.multiply,
         "div": lambda a, b: np.divide(a, b, out=np.full_like(a, np.nan),
@@ -952,34 +955,20 @@ def raster_math(
         raise ValueError(f"unknown raster op {op!r}; supported: {sorted(_OPS)}")
     fn = _OPS[op]
 
-    def tag(side):
-        def do(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "tile": batch["tile"],
-                "raster": batch["raster"],
-                "_side": pa.array(np.full(len(batch), side, dtype=np.int8)),
-            })
-        return do
+    def side_grids(side: pa.Table) -> dict[int, np.ndarray]:
+        """Each tile's grid; a repeated tile sums its grids in row order."""
+        sums: dict[int, np.ndarray] = {}
+        for tid, g in zip(side["tile"].to_pylist(), side["raster"].to_pylist()):
+            g = np.asarray(g, dtype=np.float64)
+            sums[tid] = sums[tid] + g if tid in sums else g
+        return sums
 
-    both = a_ds.map_batches(tag(0), batch_format="pyarrow").union(
-        b_ds.map_batches(tag(1), batch_format="pyarrow"))
-
-    def combine(part: pa.Table) -> pa.Table:
-        t = part["tile"].to_numpy(zero_copy_only=False)
-        side = part["_side"].to_numpy(zero_copy_only=False)
-        grids = part["raster"].to_pylist()
-        order = np.argsort(t, kind="stable")
-        cut = np.nonzero(np.diff(t[order]))[0] + 1
-        out_t, out_g = [], []
-        for rows in np.split(order, cut) if len(t) else []:
-            tid = int(t[rows[0]])
-            ga = gb = None
-            for r in rows:
-                g = np.asarray(grids[r], dtype=np.float64)
-                if side[r] == 0:
-                    ga = g if ga is None else ga + g   # duplicate tiles sum
-                else:
-                    gb = g if gb is None else gb + g
+    def combine(a: pa.Table, b: pa.Table) -> pa.Table:
+        grids_a, grids_b = side_grids(a), side_grids(b)
+        out_t = sorted(grids_a.keys() | grids_b.keys())
+        out_g = []
+        for tid in out_t:
+            ga, gb = grids_a.get(tid), grids_b.get(tid)
             ref = ga if ga is not None else gb
             if ga is None:
                 ga = np.full_like(ref, fill)
@@ -989,11 +978,19 @@ def raster_math(
                 raise ValueError(
                     f"raster_math: tile {tid} has mismatched resolutions "
                     f"({len(ga)} vs {len(gb)} cells); resample first")
-            out_t.append(tid)
             out_g.append(fn(ga, gb))
         return pa.table({
             "tile": pa.array(out_t, pa.int64()),
             "raster": pa.array([g.tolist() for g in out_g], pa.list_(pa.float64())),
         })
 
-    return hash_partitioned_map(both, ["tile"], combine, num_partitions)
+    def tile_raster(ds) -> pa.Schema:
+        s = ds.schema()
+        if s is None:
+            raise ValueError("raster_math could not resolve an input schema (lazy pipeline "
+                             "whose first block is empty?) — materialize the inputs first")
+        types = dict(zip(s.names, s.types))
+        return pa.schema([("tile", types["tile"]), ("raster", types["raster"])])
+
+    return co_partitioned_map(a_ds, b_ds, ["tile"], combine, num_partitions=num_partitions,
+                              left_schema=tile_raster(a_ds), right_schema=tile_raster(b_ds))

@@ -233,6 +233,53 @@ def test_hash_join_same_name_value_columns(ray_session):
     assert sorted((r["k"], r["k_r"]) for r in out) == [(2, 7), (4, 8)]
 
 
+def test_hash_join_casts_right_key_to_left_type(ray_session):
+    """A right key of another integer type is cast to the left key's type:
+    the output key column keeps the left's int32."""
+    import ray
+    from geopolars_ray.stages.agg import concat_blocks
+    from geopolars_ray.stages.hashjoin import hash_join
+
+    L = ray.data.from_arrow(pa.table({"k": pa.array([1, 2, 3, 4], pa.int32()),
+                                      "v": pa.array([10, 20, 30, 40], pa.int64())})).repartition(2)
+    R = ray.data.from_arrow(pa.table({"k": pa.array([2, 4, 4, 9], pa.int64()),
+                                      "w": pa.array(["b", "d", "dd", "z"])})).repartition(2)
+    for how in ("inner", "left"):
+        out = concat_blocks(hash_join(L, R, on=["k"], how=how, num_partitions=4))
+        assert out.schema.field("k").type == pa.int32()
+        got = sorted((r["k"], r["v"], r["w"]) for r in out.to_pylist())
+        want = [(2, 20, "b"), (4, 40, "d"), (4, 40, "dd")]
+        if how == "left":
+            want = sorted(want + [(1, 10, None), (3, 30, None)])
+        assert got == want
+
+
+def test_asof_and_interval_join_same_name_columns(ray_session):
+    """Both sides carry a non-key column of the same name, once of the same
+    type (one union column in the exchange) and once of another type: the
+    output keeps the left's values under the plain name and the right's
+    under ``<name>_r``."""
+    import ray
+    from geopolars_ray.stages.asof import asof_join, interval_join
+
+    left = pa.table({"k": pa.array([1, 1, 2], pa.int64()),
+                     "ts": pa.array(np.array([100, 300, 100], dtype="datetime64[us]")),
+                     "v": pa.array([1.0, 2.0, 3.0])})
+    for rv in (pa.array([-1.0, -2.0, -3.0]), pa.array(["a", "b", "c"])):
+        right = pa.table({"k": pa.array([1, 1, 2], pa.int64()),
+                          "ts": pa.array(np.array([90, 250, 400], dtype="datetime64[us]")),
+                          "v": rv})
+        L = ray.data.from_arrow(left).repartition(2)
+        R = ray.data.from_arrow(right).repartition(2)
+        a = asof_join(L, R, key="k", right_cols=["v"], num_partitions=3).take_all()
+        got = sorted((r["k"], r["v"], r["v_r"]) for r in a)
+        assert got == [(1, 1.0, rv[0].as_py()), (1, 2.0, rv[1].as_py()), (2, 3.0, None)]
+        iv = interval_join(L, R, key="k", tolerance_us=60, left_cols=["v"],
+                           right_cols=["v"], num_partitions=3).take_all()
+        got = sorted((r["k"], r["v"], r["v_r"], r["dt_us"]) for r in iv)
+        assert got == [(1, 1.0, rv[0].as_py(), -10), (1, 2.0, rv[1].as_py(), -50)]
+
+
 def test_sliding_window_aggregate(ray_session):
     import ray
     from geopolars_ray.stages.window import sliding_window_aggregate

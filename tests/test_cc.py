@@ -5,6 +5,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from geopolars_ray.stages.agg import concat_blocks
 from geopolars_ray.stages.cc import (
     connected_components,
     attach_components,
@@ -169,6 +170,22 @@ def test_attach_components_empty_pair_graph(ray_session):
     assert {r["doc_id"]: r["component"] for r in out} == {7: 7, 8: 8}
     kept = dedup_keep_representatives(docs, _pairs_ds([]), num_partitions=2).take_all()
     assert sorted(r["doc_id"] for r in kept) == [7, 8]
+
+
+def test_attach_components_int32_ids(ray_session):
+    """int32 doc ids meet the int64 label rows in one key type: ``doc_id``
+    stays int32 and the components equal the int64 run's."""
+    pairs = [(1, 3), (3, 5), (8, 9)]
+    comps = []
+    for t in (pa.int32(), pa.int64()):
+        docs = ray.data.from_arrow(pa.table({
+            "doc_id": pa.array(list(range(1, 11)), t),
+            "text": pa.array(list("abcdefghij")),
+        })).repartition(3)
+        tab = concat_blocks(attach_components(docs, _pairs_ds(pairs), num_partitions=4))
+        assert tab.schema.field("doc_id").type == t
+        comps.append({r["doc_id"]: r["component"] for r in tab.to_pylist()})
+    assert comps[0] == comps[1] == {**{i: i for i in range(1, 11)}, 3: 1, 5: 1, 9: 8}
 
 
 def test_dd_cc_clusters_gate_vs_duckdb(ray_session):

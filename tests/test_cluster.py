@@ -129,6 +129,7 @@ def test_cluster_api_on_point_geometry(ray_session):
 
     from geopolars_ray.api import GeoDataset
     from geopolars_ray.geom import GeometryArray, encode_wkb
+    from geopolars_ray.stages.agg import concat_blocks
 
     rng = np.random.default_rng(4)
     X = np.vstack([rng.normal((0, 0), 0.2, (20, 2)),
@@ -139,9 +140,7 @@ def test_cluster_api_on_point_geometry(ray_session):
                   "geometry": encode_wkb(GeometryArray.from_pylist(geoms))})
     gd = GeoDataset(ray.data.from_arrow(t).repartition(3))
 
-    db = pa.concat_tables(ray.get(
-        gd.cluster_dbscan(eps=1.0, min_points=4, id_col="pid")
-        .dataset.to_arrow_refs()))
+    db = concat_blocks(gd.cluster_dbscan(eps=1.0, min_points=4, id_col="pid").dataset)
     lab = dict(zip(db["pid"].to_pylist(), db["cluster"].to_pylist()))
     assert lab[40] is None  # noise -> null
     assert len({lab[i] for i in range(20)}) == 1
@@ -149,8 +148,7 @@ def test_cluster_api_on_point_geometry(ray_session):
     assert lab[0] != lab[20]
     assert "__cx" not in db.column_names and "geometry" in db.column_names
 
-    km = pa.concat_tables(ray.get(
-        gd.cluster_kmeans(2).dataset.to_arrow_refs()))
+    km = concat_blocks(gd.cluster_kmeans(2).dataset)
     klab = dict(zip(km["pid"].to_pylist(), km["cluster"].to_pylist()))
     assert len({klab[i] for i in range(20)}) == 1
     assert len({klab[i] for i in range(20, 40)}) == 1

@@ -327,6 +327,34 @@ def test_raster_math_ops_and_fill(ray_session):
         raster_math(a, b, op="pow")
 
 
+def test_raster_math_repeated_tile_and_mismatched_resolution(ray_session):
+    """A tile repeated on one side is the sum of its grids; a tile whose two
+    sides differ in resolution raises."""
+    import ray
+    from geopolars_ray.stages.raster import raster_math
+
+    rng = np.random.default_rng(5)
+    # integer-valued cells: the sums are exact in any order
+    g1, g2, g3, gb = (rng.integers(-9, 9, 16).astype(np.float64) for _ in range(4))
+    a = ray.data.from_arrow(pa.table({
+        "tile": pa.array([7, 8, 7, 7], pa.int64()),
+        "raster": pa.array([g1.tolist(), gb.tolist(), g2.tolist(), g3.tolist()],
+                           pa.list_(pa.float64())),
+    })).repartition(2)
+    b = ray.data.from_arrow(pa.table({
+        "tile": pa.array([7], pa.int64()), "raster": pa.array([gb.tolist()], pa.list_(pa.float64())),
+    }))
+    out = raster_math(a, b, op="sub", fill=1.0, num_partitions=2).to_pandas()
+    got = {t: np.asarray(g) for t, g in zip(out["tile"], out["raster"])}
+    np.testing.assert_array_equal(got[7], g1 + g2 + g3 - gb)
+    np.testing.assert_array_equal(got[8], gb - 1.0)
+    small = ray.data.from_arrow(pa.table({
+        "tile": pa.array([8], pa.int64()), "raster": pa.array([[1.0] * 4], pa.list_(pa.float64())),
+    }))
+    with pytest.raises(ValueError, match="mismatched resolutions"):
+        raster_math(a, small, op="add", num_partitions=2).to_pandas()
+
+
 def test_halo_exchange_rejects_duplicate_strips(ray_session):
     """A tile held twice sends each neighbour two strips from the same
     offset; the assembler used to keep whichever came last."""
