@@ -14,6 +14,8 @@ Stage wrappers in :mod:`geopolars_ray.stages.geo` lift these to
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from geopolars_ray.geom.array import (
@@ -1029,85 +1031,24 @@ def _coord_ranges(ga: GeometryArray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _directed_hausdorff(A: GeometryArray, B: GeometryArray, rows: np.ndarray) -> np.ndarray:
-    """max over vertices of A of exact distance to B's segments, per row.
+    """max over vertices of A of exact distance to B, per row (every row
+    has a vertex on both sides).
 
-    Fully vectorized over the per-row (vertex × segment) cross products:
-    pair ranks decompose as (vertex, segment) by div/mod, point-to-segment
-    distances compute in one shot, then two reduceat levels (min per vertex
-    block, max per row)."""
+    Each vertex's minimum folds over both ``_near_pairs`` passes: B's
+    coordinates (isolated points / multipoints) and B's segments. A chunk
+    holds whole vertex blocks, so one ``minimum.reduceat`` per block is
+    exact; then one max per row."""
+    vmin = np.full(len(A.coords), np.inf)
+    for segments in (False, True):
+        for c, d2, _ in _near_pairs(A, B, rows, segments):
+            blk = np.flatnonzero(np.r_[True, c.vi[1:] != c.vi[:-1]])
+            v = c.vi[blk]
+            vmin[v] = np.minimum(vmin[v], np.minimum.reduceat(d2, blk))
     a0, a1 = _coord_ranges(A)
-    b0, b1 = _coord_ranges(B)
-    na = (a1 - a0)[rows]
-    # B's segments: consecutive coord pairs within rings; single-coord rings
-    # contribute a zero-length segment (the point itself). Build per-row
-    # segment index lists via ring structure restricted to each row's range.
-    # Segments global: index j is a segment iff j and j+1 are in the same
-    # ring; for each row, its segments are the js in [b0, b1-1) that are not
-    # ring-ends. Precompute global "is segment start" then per-row gather.
-    is_seg = _seg_valid(B)
-    # per-row segment indices: all j in [b0, b1-1) with is_seg[j]; plus
-    # single-coord rings (their coord as a degenerate segment). For
-    # simplicity treat EVERY ring-last coord as a degenerate segment too —
-    # it is a vertex of B, and vertex distances are dominated by true
-    # segment distances except for isolated points, where they are exactly
-    # what we need. So per-row candidate set = all coords as points + all
-    # true segments. Split the pair expansion in two passes and combine.
-    vs, ve = a0[rows], a1[rows]
-    nv = ve - vs
-    # global per-vertex minima, shared across both candidate passes — the
-    # min must be over the UNION of candidates before any per-row max
+    nv = a1[rows] - a0[rows]
     v_off = np.zeros(len(rows), dtype=np.int64)
     np.cumsum(nv[:-1], out=v_off[1:])
-    n_verts = int(nv.sum())
-    vmin_all = np.full(n_verts, np.inf)
-
-    def pair_min(cs, ce, seg_pass: bool):
-        """fold min distance from each A-vertex to candidates [cs,ce) of B
-        into vmin_all (blocks of nv vertices per row)."""
-        nc = ce - cs
-        live = np.flatnonzero((nv > 0) & (nc > 0))
-        if not len(live):
-            return
-        nv_r, nc_r = nv[live], nc[live]
-        pairs_per = nv_r * nc_r
-        tot = int(pairs_per.sum())
-        prow = np.repeat(np.arange(len(live)), pairs_per)
-        p_off = np.zeros(len(live), dtype=np.int64)
-        np.cumsum(pairs_per[:-1], out=p_off[1:])
-        r = np.arange(tot, dtype=np.int64) - p_off[prow]
-        vi = vs[live][prow] + r // nc_r[prow]
-        cj = cs[live][prow] + r % nc_r[prow]
-        p = A.coords[vi]
-        if seg_pass:
-            a = B.coords[cj]
-            b = B.coords[cj + 1]
-            ab = b - a
-            ap = p - a
-            denom = ab[:, 0] ** 2 + ab[:, 1] ** 2
-            t = np.clip(np.where(denom > 0,
-                                 (ap[:, 0] * ab[:, 0] + ap[:, 1] * ab[:, 1]) / np.where(denom == 0, 1.0, denom),
-                                 0.0), 0.0, 1.0)
-            q = a + t[:, None] * ab
-            dq = p - q
-            d2 = dq[:, 0] ** 2 + dq[:, 1] ** 2
-            d2[~is_seg[cj]] = np.inf  # cross-ring fillers
-        else:
-            dq = p - B.coords[cj]
-            d2 = dq[:, 0] ** 2 + dq[:, 1] ** 2
-        # min per vertex block (nc contiguous entries each)
-        blk_starts = np.repeat(p_off, nv_r) + _expand_ranges(
-            np.zeros(len(live), dtype=np.int64), nv_r) * np.repeat(nc_r, nv_r)
-        vmin = np.minimum.reduceat(d2, blk_starts)
-        # scatter back to the global per-vertex slots of the live rows
-        slots = np.repeat(v_off[live], nv_r) + _expand_ranges(
-            np.zeros(len(live), dtype=np.int64), nv_r)
-        vmin_all[slots] = np.minimum(vmin_all[slots], vmin)
-
-    # point pass (covers isolated points / multipoints) then segment pass
-    pair_min(b0[rows], b1[rows], seg_pass=False)
-    pair_min(b0[rows], np.maximum(b1[rows] - 1, b0[rows]), seg_pass=True)
-    out = np.maximum.reduceat(vmin_all, v_off) if n_verts else np.full(len(rows), np.nan)
-    return np.sqrt(out)
+    return np.sqrt(np.maximum.reduceat(vmin[_expand_ranges(a0[rows], a1[rows])], v_off))
 
 
 def hausdorff_distance(lhs: GeometryArray, rhs: GeometryArray) -> np.ndarray:
@@ -1115,34 +1056,20 @@ def hausdorff_distance(lhs: GeometryArray, rhs: GeometryArray) -> np.ndarray:
     VERTICES of each side of the exact distance to the other side's
     segments, symmetric max — tight for convex/densified inputs, a lower
     bound in general, exactly like GEOS's DiscreteHausdorffDistance).
-    NaN where either side is missing/empty."""
+    NaN where either side is missing/empty. The (vertex x candidate)
+    expansion runs in ``_pairs_per_row`` chunks, a huge row in strips."""
     if len(lhs) != len(rhs):
         raise ValueError("hausdorff_distance requires aligned columns of equal length")
     # open-ring polygons: make the implicit closing edge explicit so the
     # vertex-to-segment pass sees it (same normalization as _distance_generic)
     lhs = _ensure_closed_rings(lhs)
     rhs = _ensure_closed_rings(rhs)
-    n = len(lhs)
-    out = np.full(n, np.nan)
+    out = np.full(len(lhs), np.nan)
     a0, a1 = _coord_ranges(lhs)
     b0, b1 = _coord_ranges(rhs)
-    ok = (~lhs.is_missing()) & (~rhs.is_missing()) & (a1 > a0) & (b1 > b0)
-    rows = np.flatnonzero(ok)
-    if not len(rows):
-        return out
-    # bound the (vertex x segment) expansion: chunk rows so each pass
-    # materializes at most ~8M pairs — one huge-geometry row can't blow the
-    # task heap (same guard discipline as cosine_pairs/segmentize)
-    pairs = ((a1 - a0)[rows] * (b1 - b0)[rows]).astype(np.int64)
-    budget = 8_000_000
-    chunk_id = np.zeros(len(rows), dtype=np.int64)
-    if pairs.sum() > budget:
-        chunk_id = np.minimum(np.cumsum(pairs), np.iinfo(np.int64).max) // budget
-    for cid in np.unique(chunk_id):
-        sel = rows[chunk_id == cid]
-        d_ab = _directed_hausdorff(lhs, rhs, sel)
-        d_ba = _directed_hausdorff(rhs, lhs, sel)
-        out[sel] = np.maximum(d_ab, d_ba)
+    rows = np.flatnonzero((~lhs.is_missing()) & (~rhs.is_missing()) & (a1 > a0) & (b1 > b0))
+    if len(rows):
+        out[rows] = np.maximum(_directed_hausdorff(lhs, rhs, rows), _directed_hausdorff(rhs, lhs, rows))
     return out
 
 
@@ -2493,47 +2420,6 @@ def _dp_mark(coords: np.ndarray, i0: int, i1: int, tol: float, keep: np.ndarray)
 # --------------------------------------------------------------------------
 
 
-def segments_cross(sa: np.ndarray, sb: np.ndarray, proper_only: bool = False) -> bool:
-    """Any pair of segments from sa (m,2,2) and sb (k,2,2) intersect.
-
-    ``proper_only=True`` counts only transversal crossings (interiors
-    intersect), excluding endpoint touches / collinear overlap — the test
-    that falsifies polygon containment without rejecting shared boundaries.
-    """
-    p1 = sa[:, None, 0]
-    p2 = sa[:, None, 1]
-    q1 = sb[None, :, 0]
-    q2 = sb[None, :, 1]
-
-    def orient(a, b, c):
-        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (
-            c[..., 0] - a[..., 0]
-        )
-
-    d1 = orient(p1, p2, q1)
-    d2 = orient(p1, p2, q2)
-    d3 = orient(q1, q2, p1)
-    d4 = orient(q1, q2, p2)
-    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
-    if proper.any():
-        return True
-    if proper_only:
-        return False
-
-    # collinear / endpoint-touch: zero orientation with bbox overlap
-    def on(a, b, c, d_):
-        within = (
-            (c[..., 0] >= np.minimum(a[..., 0], b[..., 0]))
-            & (c[..., 0] <= np.maximum(a[..., 0], b[..., 0]))
-            & (c[..., 1] >= np.minimum(a[..., 1], b[..., 1]))
-            & (c[..., 1] <= np.maximum(a[..., 1], b[..., 1]))
-        )
-        return (d_ == 0) & within
-
-    touch = on(p1, p2, q1, d1) | on(p1, p2, q2, d2) | on(q1, q2, p1, d3) | on(q1, q2, p2, d4)
-    return bool(touch.any())
-
-
 def distance(lhs: GeometryArray, rhs: GeometryArray) -> np.ndarray:
     """Row-wise aligned euclidean distance (`geoseries.rs:141-146`).
 
@@ -2616,41 +2502,104 @@ def _ensure_closed_rings(ga: GeometryArray) -> GeometryArray:
     )
 
 
-def _pairs_per_row(ca, cb, budget=8_000_000):
-    """Yield (live_rows, vi, cj, prow) chunks of per-row cross products
-    between index ranges ca=(starts,ends) and cb=(starts,ends)."""
+# pairs one chunk of a pair expansion holds (each pass keeps about ten
+# float64 / int64 temporaries of this length): bounds every (vertex x
+# candidate) and (segment x segment) pass, whatever the row sizes
+_PAIR_BUDGET = 2_000_000
+
+
+class _PairChunk(NamedTuple):
+    """One chunk of a per-row pair expansion (see ``_pairs_per_row``)."""
+
+    sel: np.ndarray  # the row slots of the chunk, each once
+    vi: np.ndarray  # A index of each pair
+    cj: np.ndarray  # B index of each pair
+    prow: np.ndarray  # position in ``sel`` of each pair's slot
+    off: np.ndarray  # each slot's first pair: ``ufunc.reduceat(v, off)`` reduces per slot
+
+
+def _pairs_per_row(ca, cb):
+    """Yield the per-row cross products between index ranges
+    ``ca=(starts, ends)`` and ``cb=(starts, ends)`` as ``_PairChunk``s:
+    a row's pairs are contiguous, in (A index, B index) order.
+
+    The engine's one pair expansion. A chunk holds either the whole rows
+    whose pairs start within one ``_PAIR_BUDGET`` multiple of the running
+    total, or one strip of a row with more A indices than fit the budget:
+    such a row is split into strips of ``max(1, budget // nb)`` whole
+    A-index blocks, one chunk each, in order. So a chunk holds under twice
+    the budget, or one A-index block when that alone is larger. A row can
+    span consecutive chunks: callers fold per row (min, or, first hit),
+    and a reduction per A index stays exact."""
     (a0, a1), (b0, b1) = ca, cb
     na = a1 - a0
     nb = b1 - b0
     live = np.flatnonzero((na > 0) & (nb > 0))
     if not len(live):
         return
-    pairs = na[live] * nb[live]
-    chunk_id = np.zeros(len(live), dtype=np.int64)
-    if int(pairs.sum()) > budget:
-        chunk_id = np.cumsum(pairs) // budget
-    for cid in np.unique(chunk_id):
-        sel = live[chunk_id == cid]
-        na_r, nb_r = na[sel], nb[sel]
-        pp = na_r * nb_r
-        tot = int(pp.sum())
-        prow = np.repeat(np.arange(len(sel)), pp)
+    step = np.maximum(1, _PAIR_BUDGET // nb[live])
+    nstrip = -(-na[live] // step)
+    srow = np.repeat(live, nstrip)
+    s0 = a0[srow] + _expand_ranges(np.zeros(len(live), dtype=np.int64), nstrip) * np.repeat(step, nstrip)
+    s1 = np.minimum(s0 + np.repeat(step, nstrip), a1[srow])
+    pairs = (s1 - s0) * nb[srow]
+    # a chunk starts where the running total crosses a budget multiple, at
+    # every strip of a split row and after its last one
+    key = (np.cumsum(pairs) - pairs) // _PAIR_BUDGET
+    split = np.repeat(nstrip > 1, nstrip)
+    start = split.copy()
+    start[0] = True
+    start[1:] |= (key[1:] != key[:-1]) | split[:-1]
+    edges = np.append(np.flatnonzero(start), len(srow))
+    for c0, c1 in zip(edges[:-1], edges[1:]):
+        sel = srow[c0:c1]
+        nb_r = nb[sel]
+        pp = pairs[c0:c1]
         off = np.zeros(len(sel), dtype=np.int64)
         np.cumsum(pp[:-1], out=off[1:])
-        r = np.arange(tot, dtype=np.int64) - off[prow]
-        vi = a0[sel][prow] + r // nb_r[prow]
-        cj = b0[sel][prow] + r % nb_r[prow]
-        yield sel, vi, cj, prow
+        prow = np.repeat(np.arange(len(sel)), pp)
+        r = np.arange(int(pp.sum()), dtype=np.int64) - off[prow]
+        yield _PairChunk(sel, s0[c0:c1][prow] + r // nb_r[prow], b0[sel][prow] + r % nb_r[prow], prow, off)
+
+
+def _near_pairs(A: GeometryArray, B: GeometryArray, rows: np.ndarray, segments: bool,
+                b_end: np.ndarray | None = None):
+    """Yield ``(chunk, d2, q)`` over the (vertex of ``A[rows[s]]``) x
+    (candidate of ``B[rows[s]]``) pairs of each slot s, chunked by
+    ``_pairs_per_row``. The candidates are B's coordinates (up to
+    ``b_end`` when given) or, with ``segments``, its segments j -> j + 1;
+    ``q`` is the candidate's point nearest the vertex and ``d2`` the
+    squared distance to it (+inf for a cross-ring filler segment)."""
+    a0, a1 = _coord_ranges(A)
+    b0, b1 = _coord_ranges(B)
+    bs = b0[rows]
+    if segments:
+        be = np.maximum(b1[rows] - 1, bs)
+        is_seg = _seg_valid(B)
+    else:
+        be = b1[rows] if b_end is None else b_end
+    for c in _pairs_per_row((a0[rows], a1[rows]), (bs, be)):
+        p = A.coords[c.vi]
+        q = B.coords[c.cj]
+        if segments:
+            ab = B.coords[c.cj + 1] - q
+            ap = p - q
+            den = ab[:, 0] ** 2 + ab[:, 1] ** 2
+            t = np.clip(np.where(den > 0, (ap[:, 0] * ab[:, 0] + ap[:, 1] * ab[:, 1]) / np.where(den == 0, 1.0, den), 0.0), 0.0, 1.0)
+            q = q + t[:, None] * ab
+        dq = p - q
+        d2 = dq[:, 0] ** 2 + dq[:, 1] ** 2
+        if segments:
+            d2[~is_seg[c.cj]] = np.inf
+        yield c, d2, q
 
 
 def _min_vert_to_side(A: GeometryArray, B: GeometryArray, rows: np.ndarray,
                       d2min: np.ndarray) -> None:
     """Fold min squared distance from A's vertices to B's points+segments
     into d2min (indexed like rows). Fully vectorized pair expansion."""
-    a0, a1 = _coord_ranges(A)
     b0, b1 = _coord_ranges(B)
     is_seg = _seg_valid(B)
-    ca = (a0[rows], a1[rows])
     # point pass only for rows whose B side has a coord NOT covered by the
     # segment pass: segment projections with t-clamping already cover every
     # segment endpoint, so the pass is needed exactly when B has no real
@@ -2670,74 +2619,73 @@ def _min_vert_to_side(A: GeometryArray, B: GeometryArray, rows: np.ndarray,
     iso_counts = _range_sums(iso.astype(np.float64), b0[rows], b1[rows]) \
         if len(iso) else np.zeros(len(rows))
     run_pts = no_seg | (iso_counts > 0)
-    pt_b0 = b0[rows]
-    pt_b1 = np.where(run_pts, b1[rows], b0[rows])  # empty range when covered
-    for sel, vi, cj, prow in _pairs_per_row(ca, (pt_b0, pt_b1)):
-        dq = A.coords[vi] - B.coords[cj]
-        d2 = dq[:, 0] ** 2 + dq[:, 1] ** 2
-        off = np.zeros(len(sel), dtype=np.int64)
-        counts = np.bincount(prow, minlength=len(sel))
-        np.cumsum(counts[:-1], out=off[1:])
-        mins = np.minimum.reduceat(d2, off)
-        d2min[sel] = np.minimum(d2min[sel], mins)
-    # segment pass (cross-ring fillers -> +inf)
-    for sel, vi, cj, prow in _pairs_per_row(ca, (b0[rows], np.maximum(b1[rows] - 1, b0[rows]))):
-        p = A.coords[vi]
-        a = B.coords[cj]
-        b = B.coords[cj + 1]
-        ab = b - a
-        ap = p - a
-        den = ab[:, 0] ** 2 + ab[:, 1] ** 2
-        t = np.clip(np.where(den > 0, (ap[:, 0] * ab[:, 0] + ap[:, 1] * ab[:, 1]) / np.where(den == 0, 1.0, den), 0.0), 0.0, 1.0)
-        q = a + t[:, None] * ab
-        dq = p - q
-        d2 = dq[:, 0] ** 2 + dq[:, 1] ** 2
-        d2[~is_seg[cj]] = np.inf
-        off = np.zeros(len(sel), dtype=np.int64)
-        counts = np.bincount(prow, minlength=len(sel))
-        np.cumsum(counts[:-1], out=off[1:])
-        mins = np.minimum.reduceat(d2, off)
-        d2min[sel] = np.minimum(d2min[sel], mins)
+    pt_end = np.where(run_pts, b1[rows], b0[rows])  # empty range when covered
+    for segments, b_end in ((False, pt_end), (True, None)):
+        for c, d2, _ in _near_pairs(A, B, rows, segments, b_end):
+            d2min[c.sel] = np.minimum(d2min[c.sel], np.minimum.reduceat(d2, c.off))
 
 
-def _rows_with_crossing(A: GeometryArray, B: GeometryArray, rows: np.ndarray) -> np.ndarray:
-    """bool per row: any segment of A crosses/touches any segment of B
-    (the vectorized batch form of ``segments_cross`` incl. collinear touch)."""
+class _Contacts(NamedTuple):
+    """One chunk of segment pairs (A segment ``c.vi`` -> ``c.vi + 1``, B
+    segment ``c.cj`` -> ``c.cj + 1``) and how they meet."""
+
+    c: _PairChunk
+    proper: np.ndarray  # the interiors cross transversally
+    touch: tuple  # B's start on A's segment, B's end on it, A's start on B's, A's end on it
+    d3: np.ndarray  # orientation of A's start against B's segment
+    d4: np.ndarray  # and of A's end: a proper crossing lies at d3 / (d3 - d4) along A's
+
+
+def _segment_contacts(A: GeometryArray, B: GeometryArray, ia: np.ndarray, ib: np.ndarray):
+    """The engine's one segment-contact kernel: yield ``_Contacts`` over
+    the (segment of ``A[ia[k]]``) x (segment of ``B[ib[k]]``) pairs of
+    every pair slot k, chunked by ``_pairs_per_row``. Segments are the
+    within-ring ones (cross-ring fillers are masked out of every mask); an
+    open ring's closing edge is not one (``_ensure_closed_rings`` adds
+    it). A touch is a zero orientation with the point inside the other
+    segment's bbox, so collinear overlaps and shared vertices count."""
     a0, a1 = _coord_ranges(A)
     b0, b1 = _coord_ranges(B)
     va = _seg_valid(A)
     vb = _seg_valid(B)
-    hit = np.zeros(len(rows), dtype=bool)
-    ca = (a0[rows], np.maximum(a1[rows] - 1, a0[rows]))
-    cb = (b0[rows], np.maximum(b1[rows] - 1, b0[rows]))
-    for sel, si, sj, prow in _pairs_per_row(ca, cb):
-        valid = va[si] & vb[sj]
-        p1 = A.coords[si]
-        p2 = A.coords[si + 1]
-        q1 = B.coords[sj]
-        q2 = B.coords[sj + 1]
+    ca = (a0[ia], np.maximum(a1[ia] - 1, a0[ia]))
+    cb = (b0[ib], np.maximum(b1[ib] - 1, b0[ib]))
+    for c in _pairs_per_row(ca, cb):
+        valid = va[c.vi] & vb[c.cj]
+        p1 = A.coords[c.vi]
+        p2 = A.coords[c.vi + 1]
+        q1 = B.coords[c.cj]
+        q2 = B.coords[c.cj + 1]
 
         def orient(o, a, b):
             return (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
 
         d1 = orient(p1, p2, q1)
-        d2_ = orient(p1, p2, q2)
+        d2 = orient(p1, p2, q2)
         d3 = orient(q1, q2, p1)
         d4 = orient(q1, q2, p2)
-        proper = ((d1 > 0) != (d2_ > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2_ != 0) & (d3 != 0) & (d4 != 0)
+        proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
 
-        def on(a, b, c, d_):
-            return ((d_ == 0)
-                    & (c[:, 0] >= np.minimum(a[:, 0], b[:, 0])) & (c[:, 0] <= np.maximum(a[:, 0], b[:, 0]))
-                    & (c[:, 1] >= np.minimum(a[:, 1], b[:, 1])) & (c[:, 1] <= np.maximum(a[:, 1], b[:, 1])))
+        def on(a, b, pt, d):
+            return ((d == 0) & valid
+                    & (pt[:, 0] >= np.minimum(a[:, 0], b[:, 0])) & (pt[:, 0] <= np.maximum(a[:, 0], b[:, 0]))
+                    & (pt[:, 1] >= np.minimum(a[:, 1], b[:, 1])) & (pt[:, 1] <= np.maximum(a[:, 1], b[:, 1])))
 
-        touch = on(p1, p2, q1, d1) | on(p1, p2, q2, d2_) | on(q1, q2, p1, d3) | on(q1, q2, p2, d4)
-        any_hit = (proper | touch) & valid
-        if any_hit.any():
-            counts = np.bincount(prow, minlength=len(sel))
-            off = np.zeros(len(sel), dtype=np.int64)
-            np.cumsum(counts[:-1], out=off[1:])
-            hit[sel] |= np.maximum.reduceat(any_hit.astype(np.int8), off).astype(bool)
+        touch = (on(p1, p2, q1, d1), on(p1, p2, q2, d2), on(q1, q2, p1, d3), on(q1, q2, p2, d4))
+        yield _Contacts(c, proper & valid, touch, d3, d4)
+
+
+def _any_contact(A: GeometryArray, B: GeometryArray, ia: np.ndarray, ib: np.ndarray,
+                 proper_only: bool = False) -> np.ndarray:
+    """bool per pair k: a segment of ``A[ia[k]]`` meets one of ``B[ib[k]]``
+    — crosses or touches, or with ``proper_only`` crosses transversally
+    (the test that falsifies containment without rejecting a shared
+    boundary)."""
+    hit = np.zeros(len(ia), dtype=bool)
+    for s in _segment_contacts(A, B, ia, ib):
+        m = s.proper if proper_only else s.proper | s.touch[0] | s.touch[1] | s.touch[2] | s.touch[3]
+        if m.any():
+            hit[s.c.sel] |= np.logical_or.reduceat(m, s.c.off)
     return hit
 
 
@@ -2774,10 +2722,12 @@ def _distance_generic(lhs: GeometryArray, rhs: GeometryArray, rows: np.ndarray) 
     The vectorized replacement of a per-row Python loop (same semantics,
     ~50× on small-geometry batches): per-row minima
     over both (vertex × segment/point) pair expansions, then the two
-    zero-distance short-circuits — any segment crossing/touch, and
-    polygon containment of the other side's representative vertex (one
-    vertex suffices: partial overlaps are already zeroed by the crossing
-    test). All expansions budget-chunked like hausdorff."""
+    zero-distance short-circuits — any segment crossing/touch
+    (``_any_contact``), and polygon containment of the other side's
+    representative vertex (one vertex suffices: partial overlaps are
+    already zeroed by the crossing test). Every pair expansion runs in
+    ``_pairs_per_row`` chunks of at most about ``_PAIR_BUDGET`` pairs, a
+    row above the budget in strips, so one huge row stays bounded too."""
     # open-ring polygons carry an implicit closing edge the explicit-segment
     # enumeration below would otherwise miss (wrong distances AND broken
     # containment parity)
@@ -2793,7 +2743,7 @@ def _distance_generic(lhs: GeometryArray, rhs: GeometryArray, rows: np.ndarray) 
     nonzero = np.flatnonzero(out > 0)
     if len(nonzero):
         sub = rows[nonzero]
-        crossed = _rows_with_crossing(lhs, rhs, sub)
+        crossed = _any_contact(lhs, rhs, sub, sub)
         out[nonzero[crossed]] = 0.0
         still = nonzero[~crossed]
         if len(still):
@@ -2817,153 +2767,134 @@ def _rings_of(ga: GeometryArray, i: int) -> list[np.ndarray]:
     return rings
 
 
-def _segments_of(ga: GeometryArray, i: int):
-    """(m,2,2) array of segments of geometry i, or None if it has no segments."""
-    segs = []
-    for p in range(ga.geom_offsets[i], ga.geom_offsets[i + 1]):
-        for r in range(ga.part_offsets[p], ga.part_offsets[p + 1]):
-            c = ga.coords[ga.ring_offsets[r] : ga.ring_offsets[r + 1]]
-            if len(c) >= 2:
-                segs.append(np.stack([c[:-1], c[1:]], axis=1))
-    if not segs:
-        return None
-    return np.concatenate(segs, axis=0)
+def _first_per_slot(prow: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The first of the ascending pair positions ``k`` in each slot."""
+    s = prow[k]
+    return k[np.r_[True, s[1:] != s[:-1]]] if len(k) else k
 
 
-def _argmin_point_to_segments(pts: np.ndarray, segs: np.ndarray,
-                              pair_budget: int = 8_000_000):
-    """(min_dist, source_point, projected_point) over all (point, segment)
-    pairs. Point rows are strip-chunked to ``pair_budget`` pairs per pass
-    so one huge geometry pair can't blow the heap (same guard as
-    hausdorff)."""
-    a = segs[:, 0]
-    d = segs[:, 1] - segs[:, 0]
-    L2 = (d**2).sum(axis=1)
-    L2s = np.where(L2 == 0, 1, L2)
-    best = (np.inf, pts[0], segs[0, 0])
-    step = max(1, pair_budget // max(len(segs), 1))
-    for s0 in range(0, len(pts), step):
-        p = pts[s0 : s0 + step]
-        ap = p[:, None, :] - a[None, :, :]
-        t = np.clip((ap * d[None, :, :]).sum(axis=2) / L2s[None, :], 0.0, 1.0)
-        proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-        dd2 = ((p[:, None, :] - proj) ** 2).sum(axis=2)
-        i, j = np.unravel_index(int(np.argmin(dd2)), dd2.shape)
-        if dd2[i, j] < best[0]:
-            best = (float(dd2[i, j]), p[i], proj[i, j])
-    return float(np.sqrt(best[0])), best[1], best[2]
+def _inside_witness(poly_side: GeometryArray, pts_side: GeometryArray, rows: np.ndarray,
+                    found: np.ndarray, wp: np.ndarray) -> None:
+    """For each slot s not ``found`` whose ``poly_side`` row is a polygon:
+    the first vertex of ``pts_side[rows[s]]`` strictly inside it, from one
+    ``parity_on`` over the (vertex, row) pairs, into ``wp[s]``."""
+    from geopolars_ray.geom.strtree import PreparedPolygons
+
+    slots = np.flatnonzero(~found & np.isin(poly_side.types[rows], _POLY_TYPES))
+    if not len(slots):
+        return
+    c0, c1 = _coord_ranges(pts_side)
+    r = rows[slots]
+    v = _expand_ranges(c0[r], c1[r])
+    slot = np.repeat(slots, c1[r] - c0[r])
+    parity, on = PreparedPolygons.from_geometry_array(poly_side).parity_on(
+        pts_side.coords[v, 0], pts_side.coords[v, 1], rows[slot])
+    k = _first_per_slot(slot, np.flatnonzero(parity & ~on))
+    found[slot[k]] = True
+    wp[slot[k]] = pts_side.coords[v[k]]
 
 
-def _touch_point(sa: np.ndarray, sb: np.ndarray, pair_budget: int = 8_000_000):
-    """A witness point where segment sets sa (m,2,2) / sb (k,2,2) intersect,
-    or None. Mirrors ``segments_cross`` (proper crossing first, then
-    endpoint/collinear touch); sa is strip-chunked to bound the (m,k)
-    orientation matrices."""
-    step = max(1, pair_budget // max(len(sb), 1))
-    if len(sa) > step:
-        for s0 in range(0, len(sa), step):
-            w = _touch_point(sa[s0 : s0 + step], sb, pair_budget)
-            if w is not None:
-                return w
-        return None
-    p1, p2 = sa[:, None, 0], sa[:, None, 1]
-    q1, q2 = sb[None, :, 0], sb[None, :, 1]
+def _contact_witness(A: GeometryArray, B: GeometryArray, rows: np.ndarray,
+                     found: np.ndarray, wp: np.ndarray) -> None:
+    """For each slot s not ``found``: a point where ``A[rows[s]]`` meets
+    ``B[rows[s]]``, into ``wp[s]``. A proper crossing comes first, then
+    the touches in ``_Contacts.touch`` order, each the first in pair order
+    over the whole row, however it is chunked."""
+    todo = np.flatnonzero(~found)
+    got = np.zeros((5, len(todo)), dtype=bool)
+    w = np.full((5, len(todo), 2), np.nan)
+    for s in _segment_contacts(A, B, rows[todo], rows[todo]):
+        c = s.c
+        for m, mask in enumerate((s.proper, *s.touch)):
+            k = _first_per_slot(c.prow, np.flatnonzero(mask))
+            slot = c.sel[c.prow[k]]
+            new = ~got[m, slot]
+            k, slot = k[new], slot[new]
+            got[m, slot] = True
+            if m == 0:
+                t = s.d3[k] / (s.d3[k] - s.d4[k])
+                p1 = A.coords[c.vi[k]]
+                w[m, slot] = p1 + t[:, None] * (A.coords[c.vi[k] + 1] - p1)
+            elif m <= 2:  # B's start / end on A's segment
+                w[m, slot] = B.coords[c.cj[k] + m - 1]
+            else:  # A's start / end on B's segment
+                w[m, slot] = A.coords[c.vi[k] + m - 3]
+    hit = np.flatnonzero(got.any(axis=0))
+    found[todo[hit]] = True
+    wp[todo[hit]] = w[np.argmax(got[:, hit], axis=0), hit]
 
-    def orient(a, b, c):
-        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
 
-    d1 = orient(p1, p2, q1)
-    d2 = orient(p1, p2, q2)
-    d3 = orient(q1, q2, p1)
-    d4 = orient(q1, q2, p2)
-    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
-    if proper.any():
-        i, j = np.unravel_index(int(np.argmax(proper)), proper.shape)
-        # intersection parameter along sa[i]: t = d3 / (d3 - d4)
-        t = d3[i, j] / (d3[i, j] - d4[i, j])
-        return sa[i, 0] + t * (sa[i, 1] - sa[i, 0])
-
-    def on(a, b, c, d_):
-        within = ((c[..., 0] >= np.minimum(a[..., 0], b[..., 0]))
-                  & (c[..., 0] <= np.maximum(a[..., 0], b[..., 0]))
-                  & (c[..., 1] >= np.minimum(a[..., 1], b[..., 1]))
-                  & (c[..., 1] <= np.maximum(a[..., 1], b[..., 1])))
-        return (d_ == 0) & within
-
-    for mask, pick in ((on(p1, p2, q1, d1), lambda i, j: sb[j, 0]),
-                       (on(p1, p2, q2, d2), lambda i, j: sb[j, 1]),
-                       (on(q1, q2, p1, d3), lambda i, j: sa[i, 0]),
-                       (on(q1, q2, p2, d4), lambda i, j: sa[i, 1])):
-        if mask.any():
-            i, j = np.unravel_index(int(np.argmax(mask)), mask.shape)
-            return pick(i, j)
-    return None
+def _nearest_pass(A: GeometryArray, chunks, n: int):
+    """Fold ``_near_pairs(A, ...)`` chunks into each slot's minimum ``d2``
+    (NaN if any pair's is) and its first pair's (vertex, nearest point)."""
+    best = np.full(n, np.inf)
+    p = np.full((n, 2), np.nan)
+    q = np.full((n, 2), np.nan)
+    for c, d2, qc in chunks:
+        mins = np.minimum.reduceat(d2, c.off)
+        k = _first_per_slot(c.prow, np.flatnonzero(d2 == mins[c.prow]))
+        k = k[mins[c.prow[k]] < best[c.sel[c.prow[k]]]]
+        slot = c.sel[c.prow[k]]
+        best[slot] = d2[k]
+        p[slot] = A.coords[c.vi[k]]
+        q[slot] = qc[k]
+        best[c.sel[np.isnan(mins)]] = np.nan
+    return best, p, q
 
 
 def shortest_line(lhs: GeometryArray, rhs: GeometryArray) -> GeometryArray:
     """Row-wise shortest connecting LineString between aligned geometries
     (shapely ``shortest_line`` / the segment through ``nearest_points``).
-    Intersecting/containing rows yield a zero-length line at a witness
-    point; missing/empty rows stay missing. Endpoint order is lhs -> rhs.
-    Same candidate structure as ``distance`` (vertex containment, then
-    segment touches, then vertex-to-segment minima), so
-    ``euclidean_length(shortest_line(a, b)) == distance(a, b)`` by
-    construction."""
-    from geopolars_ray.geom.strtree import points_in_polygon_single
+    Endpoint order is lhs -> rhs. Missing/empty rows stay missing, and so
+    does a row whose nearest pair has a NaN coordinate (its ``distance``
+    is NaN).
 
+    Batched over all rows in ``distance``'s three stages, on its kernels:
+    a zero-length line at the first vertex of either side strictly inside
+    the other (polygon) side; else at the first segment contact, a proper
+    crossing first; else the nearest pair, lhs vertices to rhs segments,
+    rhs vertices to lhs segments, then vertex to vertex (ties go to the
+    earlier). Rings are closed first as in ``distance``, so
+    ``euclidean_length(shortest_line(a, b)) == distance(a, b)``."""
     if len(lhs) != len(rhs):
         raise ValueError("shortest_line requires equal-length series")
+    lhs = _ensure_closed_rings(lhs)
+    rhs = _ensure_closed_rings(rhs)
     n = len(lhs)
-    lco = lhs.coord_offsets()
-    rco = rhs.coord_offsets()
-    out: list = []
-    for i in range(n):
-        if lhs.types[i] == MISSING or rhs.types[i] == MISSING:
-            out.append(None)
-            continue
-        a = lhs.coords[lco[i]: lco[i + 1]]
-        b = rhs.coords[rco[i]: rco[i + 1]]
-        if len(a) == 0 or len(b) == 0:
-            out.append(None)
-            continue
-        witness = None
-        for side, pts in ((lhs, b), (rhs, a)):
-            if side.types[i] in _POLY_TYPES:
-                rings = _rings_of(side, i)
-                inside = points_in_polygon_single(pts[:, 0], pts[:, 1], rings)
-                if inside.any():
-                    w = pts[int(np.argmax(inside))]
-                    witness = (w, w)
-                    break
-        if witness is None:
-            sl = _segments_of(lhs, i)
-            sr = _segments_of(rhs, i)
-            if sl is not None and sr is not None:
-                w = _touch_point(sl, sr)
-                if w is not None:
-                    witness = (w, w)
-            if witness is None:
-                cands = []
-                if sr is not None:
-                    da, pa_, qa = _argmin_point_to_segments(a, sr)
-                    cands.append((da, pa_, qa))
-                if sl is not None:
-                    db, pb_, qb = _argmin_point_to_segments(b, sl)
-                    cands.append((db, qb, pb_))  # flip: lhs endpoint first
-                # vertex-vertex fallback, strip-chunked like the projections
-                vbest = (np.inf, a[0], b[0])
-                step = max(1, 8_000_000 // max(len(b), 1))
-                for s0 in range(0, len(a), step):
-                    aa = a[s0 : s0 + step]
-                    dd2 = (aa[:, None, 0] - b[None, :, 0]) ** 2 + (aa[:, None, 1] - b[None, :, 1]) ** 2
-                    ii, jj = np.unravel_index(int(np.argmin(dd2)), dd2.shape)
-                    if dd2[ii, jj] < vbest[0]:
-                        vbest = (float(dd2[ii, jj]), aa[ii], b[jj])
-                cands.append((float(np.sqrt(vbest[0])), vbest[1], vbest[2]))
-                witness = min(cands, key=lambda c: c[0])[1:]
-        p, q = witness
-        out.append(("linestring", [(float(p[0]), float(p[1])), (float(q[0]), float(q[1]))]))
-    return GeometryArray.from_pylist(out)
+    a0, a1 = _coord_ranges(lhs)
+    b0, b1 = _coord_ranges(rhs)
+    rows = np.flatnonzero(~lhs.is_missing() & ~rhs.is_missing() & (a1 > a0) & (b1 > b0))
+    found = np.zeros(len(rows), dtype=bool)
+    wp = np.full((len(rows), 2), np.nan)
+    _inside_witness(lhs, rhs, rows, found, wp)
+    _inside_witness(rhs, lhs, rows, found, wp)
+    _contact_witness(lhs, rhs, rows, found, wp)
+    wq = wp.copy()
+    todo = np.flatnonzero(~found)
+    if len(todo):
+        sub = rows[todo]
+        da, pa, qa = _nearest_pass(lhs, _near_pairs(lhs, rhs, sub, True), len(sub))
+        db, pb, qb = _nearest_pass(rhs, _near_pairs(rhs, lhs, sub, True), len(sub))
+        dv, pv, qv = _nearest_pass(lhs, _near_pairs(lhs, rhs, sub, False), len(sub))
+        da, db, dv = np.sqrt(da), np.sqrt(db), np.sqrt(dv)
+        use_a = ((da <= db) & (da <= dv))[:, None]
+        use_b = (db <= dv)[:, None]
+        wp[todo] = np.where(use_a, pa, np.where(use_b, qb, pv))
+        wq[todo] = np.where(use_a, qa, np.where(use_b, pb, qv))
+        found[todo] = np.isfinite(np.minimum(np.minimum(da, db), dv))
+    rows = rows[found]
+    m = len(rows)
+    types = np.full(n, MISSING, dtype=np.int8)
+    types[rows] = LINESTRING
+    geom_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(types != MISSING, out=geom_offsets[1:])
+    return GeometryArray(
+        types=types,
+        geom_offsets=geom_offsets,
+        part_offsets=np.arange(m + 1, dtype=np.int64),
+        ring_offsets=np.arange(0, 2 * m + 1, 2, dtype=np.int64),
+        coords=np.stack([wp[found], wq[found]], axis=1).reshape(-1, 2),
+    )
 
 
 def _assemble_point_rings(is_pt: np.ndarray, rings: np.ndarray, k: int) -> GeometryArray:

@@ -22,6 +22,9 @@ parity minus on-boundary points), matching the geo crate's ``contains``
 behavior that the reference's golden join fixture depends on
 (boundary-touching points do NOT match — `spatial_index.rs:479-480`,
 FIXTURES.md F5). :func:`points_in_polygon_single` is its one-polygon call.
+
+:meth:`STRTree.query_boxes` is the tree's one query path: every (query,
+node) pair descends one level at a time; ``query_box`` is its one-box call.
 """
 
 from __future__ import annotations
@@ -82,10 +85,11 @@ def points_in_polygon_single(px: np.ndarray, py: np.ndarray, rings: list[np.ndar
 
     Even-odd parity across ALL rings (exterior(s) + holes of every part), so
     holes and disjoint parts fall out of the parity automatically. The
-    one-polygon call of :meth:`PreparedPolygons.parity_on`, for per-row
-    callers; a caller testing many points against one polygon builds it
-    once and calls :meth:`PreparedPolygons.hits`, whose bbox prefilter
-    skips the far points.
+    one-polygon call of :meth:`PreparedPolygons.parity_on`. No library code
+    calls it: the batched kernels call ``parity_on`` over (point, polygon)
+    pairs, and a caller testing many points against one polygon builds it
+    once and calls :meth:`PreparedPolygons.hits`. ``perfbench/trace.py``
+    wraps it by name (its ``pip_calls`` counter).
     """
     px = np.asarray(px, dtype=np.float64)
     parity, on = PreparedPolygons.from_polygons([rings]).parity_on(px, py, np.zeros(len(px), dtype=np.int64))
@@ -342,43 +346,34 @@ class STRTree:
             level = parent
 
     def query_box(self, xmin: float, ymin: float, xmax: float, ymax: float) -> np.ndarray:
-        """Item ids whose envelope intersects [xmin,xmax]×[ymin,ymax] (inclusive)."""
-        if self.n == 0 or not self.levels:
-            return np.empty(0, dtype=np.int64)
-        hits: list[np.ndarray] = []
-        # descend from the root level
-        stack = [(len(self.levels) - 1, np.arange(len(self.levels[-1])))]
-        while stack:
-            lvl, nodes = stack.pop()
-            boxes = self.levels[lvl]
-            bb = boxes[nodes]
-            ok = (bb[:, 0] <= xmax) & (bb[:, 2] >= xmin) & (bb[:, 1] <= ymax) & (bb[:, 3] >= ymin)
-            matched = nodes[ok]
-            if len(matched) == 0:
-                continue
-            if lvl == 0:
-                hits.append(self.item_ids[matched])
-            else:
-                child_ranges = [
-                    np.arange(m * _NODE_CAP, min((m + 1) * _NODE_CAP, len(self.levels[lvl - 1])))
-                    for m in matched
-                ]
-                stack.append((lvl - 1, np.concatenate(child_ranges)))
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(hits))
+        """Item ids whose envelope intersects [xmin,xmax]×[ymin,ymax] (inclusive), ascending."""
+        return self.query_boxes(np.array([xmin, ymin, xmax, ymax], dtype=np.float64))[1]
 
     def query_boxes(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk query: returns (query_idx, item_id) candidate pairs."""
-        qs, its = [], []
-        for i, (x0, y0, x1, y1) in enumerate(np.asarray(boxes, dtype=np.float64).reshape(-1, 4)):
-            ids = self.query_box(x0, y0, x1, y1)
-            if len(ids):
-                qs.append(np.full(len(ids), i, dtype=np.int64))
-                its.append(ids)
-        if not qs:
+        """Bulk query: the (query_idx, item_id) candidate pairs of every
+        box, query-major with item ids ascending.
+
+        Level-synchronous: all (query, node) pairs descend one tree level
+        at a time, each level one vectorised overlap test and one
+        expansion to the survivors' children. A NaN box matches nothing."""
+        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        if self.n == 0 or not self.levels:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(qs), np.concatenate(its)
+        n_root = len(self.levels[-1])
+        q = np.repeat(np.arange(len(boxes), dtype=np.int64), n_root)
+        node = np.tile(np.arange(n_root, dtype=np.int64), len(boxes))
+        for lvl in range(len(self.levels) - 1, -1, -1):
+            bb, qb = self.levels[lvl][node], boxes[q]
+            ok = (bb[:, 0] <= qb[:, 2]) & (bb[:, 2] >= qb[:, 0]) & (bb[:, 1] <= qb[:, 3]) & (bb[:, 3] >= qb[:, 1])
+            q, node = q[ok], node[ok]
+            if lvl:
+                first = node * _NODE_CAP
+                last = np.minimum(first + _NODE_CAP, len(self.levels[lvl - 1]))
+                q = np.repeat(q, last - first)
+                node = _expand_ranges(first, last)
+        items = self.item_ids[node]
+        order = np.lexsort((items, q))
+        return q[order], items[order]
 
 
 # --------------------------------------------------------------------------

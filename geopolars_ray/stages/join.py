@@ -6,7 +6,11 @@ Reimplements ``spatial_join(lhs, rhs, SpatialJoinArgs)``
 - :func:`spatial_join_table` — local (two Arrow tables), bit-for-bit parity
   with the reference's semantics incl. its predicate dispatch table
   (`spatial_index.rs:89-137`) and suffix naming (`:164-184`); reproduces the
-  golden fixture shapes (2,4)/(9,4) (FIXTURES.md F5).
+  golden fixture shapes (2,4)/(9,4) (FIXTURES.md F5). Its refine
+  (:func:`refine_candidates`) is batched over all candidate pairs of a
+  type-pair class: the segment-contact kernel
+  (``kernels._segment_contacts``, which ``distance`` and
+  ``shortest_line`` run on too) and ``PreparedPolygons.parity_on``.
 - :class:`BroadcastPIPJoin` — the scale path for the north-star shape:
   small polygon side broadcast (``ray.put`` once), an actor pool holds the
   prepared polygons + grid index (built once per actor in ``__init__``,
@@ -40,7 +44,6 @@ import ray
 
 from geopolars_ray.geom import GeometryArray, decode_wkb, encode_wkb
 from geopolars_ray.geom import kernels as K
-from geopolars_ray.geom.kernels import _rings_of
 from geopolars_ray.geom.array import (
     POINT,
     LINESTRING,
@@ -64,59 +67,6 @@ _LINEISH = (LINESTRING, LINEARRING, MULTILINESTRING)
 # --------------------------------------------------------------------------
 
 
-def _segments_of_rings(rings: list[np.ndarray]) -> np.ndarray | None:
-    segs = []
-    for c in rings:
-        if len(c) >= 2:
-            segs.append(np.stack([c[:-1], c[1:]], axis=1))
-    if not segs:
-        return None
-    return np.concatenate(segs, axis=0)
-
-
-def _poly_poly(l_rings, r_rings, want_contains: bool, l_contains_r: bool) -> bool:
-    """Polygon-polygon Intersects, or Contains (container side chosen by flag)."""
-    sl = _segments_of_rings(l_rings)
-    sr = _segments_of_rings(r_rings)
-    la = np.concatenate([r for r in l_rings if len(r)]) if l_rings else np.empty((0, 2))
-    ra = np.concatenate([r for r in r_rings if len(r)]) if r_rings else np.empty((0, 2))
-    if want_contains:
-        outer = l_rings if l_contains_r else r_rings
-        inner_pts = ra if l_contains_r else la
-        # boundary-inclusive vertex test: a vertex on the outer boundary is ok
-        parity, on = PreparedPolygons.from_polygons([outer]).parity_on(
-            inner_pts[:, 0], inner_pts[:, 1], np.zeros(len(inner_pts), dtype=np.int64))
-        if not (parity | on).all():
-            return False
-        # a proper (transversal) edge crossing falsifies containment even
-        # with every vertex inside-or-on; boundary touches are allowed
-        if sl is not None and sr is not None and K.segments_cross(sl, sr, proper_only=True):
-            return False
-        return True
-    # intersects
-    if sl is not None and sr is not None and K.segments_cross(sl, sr):
-        return True
-    # or a vertex of either side strictly inside the other: one kernel call
-    parity, on = PreparedPolygons.from_polygons([l_rings, r_rings]).parity_on(
-        np.concatenate([ra[:, 0], la[:, 0]]), np.concatenate([ra[:, 1], la[:, 1]]),
-        np.repeat([0, 1], [len(ra), len(la)]))
-    return bool((parity & ~on).any())
-
-
-def _line_contains_point(segs: np.ndarray | None, px: float, py: float) -> bool:
-    if segs is None:
-        return False
-    a, b = segs[:, 0], segs[:, 1]
-    cross = (b[:, 0] - a[:, 0]) * (py - a[:, 1]) - (b[:, 1] - a[:, 1]) * (px - a[:, 0])
-    within = (
-        (px >= np.minimum(a[:, 0], b[:, 0]))
-        & (px <= np.maximum(a[:, 0], b[:, 0]))
-        & (py >= np.minimum(a[:, 1], b[:, 1]))
-        & (py <= np.maximum(a[:, 1], b[:, 1]))
-    )
-    return bool(((cross == 0) & within).any())
-
-
 def _point_xy(ga: GeometryArray, i):
     """The coordinate of point geometry ``i`` (or the (n, 2) coordinates of
     an index array): its entry of ``ga.coord_offsets()``, without composing
@@ -125,47 +75,112 @@ def _point_xy(ga: GeometryArray, i):
 
 
 def _points_in_polygons(points: GeometryArray, pi: np.ndarray,
-                        polys: GeometryArray, gi: np.ndarray) -> np.ndarray:
+                        polys: PreparedPolygons, gi: np.ndarray) -> np.ndarray:
     """Boundary-exclusive containment of point ``points[pi[k]]`` in
-    (multi)polygon ``polys[gi[k]]`` for every pair k: one
+    (multi)polygon ``gi[k]`` of ``polys`` for every pair k: one
     :meth:`PreparedPolygons.parity_on` pass over all pairs."""
     if len(pi) == 0:
         return np.zeros(0, dtype=bool)
     xy = _point_xy(points, pi)
-    parity, on = PreparedPolygons.from_geometry_array(polys).parity_on(xy[:, 0], xy[:, 1], gi)
+    parity, on = polys.parity_on(xy[:, 0], xy[:, 1], gi)
     return parity & ~on
 
 
-def refine_pair(lhs: GeometryArray, rhs: GeometryArray, li: int, ri: int, predicate: str) -> bool:
-    """Exact test for one candidate pair, following the reference's dispatch
-    (`spatial_index.rs:89-137`) including its quirks:
+def _vertices_in(pts: GeometryArray, ip: np.ndarray, polys: PreparedPolygons,
+                 ig: np.ndarray, boundary: bool) -> np.ndarray:
+    """Per pair k: whether some vertex of ``pts[ip[k]]`` lies strictly
+    inside polygon ``ig[k]`` (``boundary=False``), or whether every vertex
+    lies inside or on it (``boundary=True``). One ``parity_on`` over the
+    (vertex, pair) pairs."""
+    c0, c1 = K._coord_ranges(pts)
+    pair = np.repeat(np.arange(len(ip)), c1[ip] - c0[ip])
+    v = _expand_ranges(c0[ip], c1[ip])
+    parity, on = polys.parity_on(pts.coords[v, 0], pts.coords[v, 1], ig[pair])
+    if boundary:
+        return np.bincount(pair[~(parity | on)], minlength=len(ip)) == 0
+    return np.bincount(pair[parity & ~on], minlength=len(ip)) > 0
 
-    - (Multi)Polygon ⊗ Polygon honors Contains vs Intersects (`:98-116`);
+
+def _as_segments(points: GeometryArray, ip: np.ndarray) -> GeometryArray:
+    """Point ``points[ip[k]]`` as the zero-length linestring (p, p), so
+    the segment-contact kernel tests it: it touches a segment exactly when
+    it is collinear with it and inside its bbox."""
+    m = len(ip)
+    return GeometryArray(
+        types=np.full(m, LINESTRING),
+        geom_offsets=np.arange(m + 1),
+        part_offsets=np.arange(m + 1),
+        ring_offsets=np.arange(0, 2 * m + 1, 2),
+        coords=np.repeat(_point_xy(points, ip), 2, axis=0),
+    )
+
+
+def _refine(A: GeometryArray, ia: np.ndarray, ap: PreparedPolygons,
+            B: GeometryArray, ib: np.ndarray, bp: PreparedPolygons, contains: bool) -> np.ndarray:
+    """Exact test of the candidate pairs ``(A[ia[k]], B[ib[k]])`` that are
+    not Point ⊗ (Multi)Polygon, one batched pass per type-pair class,
+    following the reference's dispatch (`spatial_index.rs:89-137`)
+    including its quirks (``ap`` / ``bp`` are the sides' prepared
+    polygons):
+
+    - (Multi)Polygon ⊗ Polygon honors Contains vs Intersects (`:98-116`).
+      Intersects: any segment contact, or a vertex of either side
+      strictly inside the other. Contains: every vertex of B inside or on
+      A, and no proper segment crossing (a shared boundary is allowed);
     - Polygon ⊗ MultiPolygon supports only Intersects (`:118-123`);
-    - Line-ish ⊗ Point — in either order (`:125-135`) — uses
-      line-contains-point;
+    - Line-ish ⊗ Point — in either order (`:125-135`) — tests the point
+      collinear with a line segment, inside its bbox;
     - every other type pair is silently false (`:136`).
 
-    Point ⊗ (Multi)Polygon pairs (`:90-96`) are not tested here:
-    :func:`spatial_join_table` refines all of them in one batch
-    (:func:`_points_in_polygons`).
-    """
-    lt, rt = int(lhs.types[li]), int(rhs.types[ri])
-    if lt in _POLYISH and rt == POLYGON:
-        return _poly_poly(
-            _rings_of(lhs, li), _rings_of(rhs, ri), want_contains=(predicate == "contains"), l_contains_r=True
-        )
-    if lt == POLYGON and rt == MULTIPOLYGON:
-        if predicate == "contains":
-            return False
-        return _poly_poly(_rings_of(lhs, li), _rings_of(rhs, ri), want_contains=False, l_contains_r=True)
-    if lt in _LINEISH and rt == POINT:
-        p = _point_xy(rhs, ri)
-        return _line_contains_point(_segments_of_rings(_rings_of(lhs, li)), p[0], p[1])
-    if lt == POINT and rt in _LINEISH:
-        p = _point_xy(lhs, li)
-        return _line_contains_point(_segments_of_rings(_rings_of(rhs, ri)), p[0], p[1])
-    return False
+    Segments are the rings' explicit ones: an open ring's closing edge is
+    seen only by the vertex tests' ``parity_on``."""
+    ta, tb = A.types[ia], B.types[ib]
+    keep = np.zeros(len(ia), dtype=bool)
+    pp = np.isin(ta, _POLYISH) & (tb == POLYGON)
+    if not contains:
+        pp |= (ta == POLYGON) & (tb == MULTIPOLYGON)
+    k = np.flatnonzero(pp)
+    if contains:
+        k = k[_vertices_in(B, ib[k], ap, ia[k], boundary=True)]
+        keep[k] = ~K._any_contact(A, B, ia[k], ib[k], proper_only=True)
+    else:
+        keep[k] = K._any_contact(A, B, ia[k], ib[k])
+        k = k[~keep[k]]
+        keep[k] = (_vertices_in(B, ib[k], ap, ia[k], boundary=False)
+                   | _vertices_in(A, ia[k], bp, ib[k], boundary=False))
+    for L, il, P, ip, line_pt in ((A, ia, B, ib, np.isin(ta, _LINEISH) & (tb == POINT)),
+                                  (B, ib, A, ia, (ta == POINT) & np.isin(tb, _LINEISH))):
+        k = np.flatnonzero(line_pt)
+        keep[k] = K._any_contact(L, _as_segments(P, ip[k]), il[k], np.arange(len(k)))
+    return keep
+
+
+def refine_candidates(lg: GeometryArray, rg: GeometryArray, li: np.ndarray, ri: np.ndarray,
+                      predicate: str) -> np.ndarray:
+    """bool per candidate pair k: ``lg[li[k]]`` and ``rg[ri[k]]`` satisfy
+    ``predicate`` (``intersects`` / ``contains`` / ``within``), in one
+    batched pass per type-pair class.
+
+    Point ⊗ (Multi)Polygon in either operand order (`:90-96`) is
+    boundary-exclusive containment of the point, whatever the predicate;
+    the other classes follow :func:`_refine`. ``within(l, r)`` ==
+    ``contains(r, l)`` (GeoPandas-parity extension beyond the reference's
+    intersects/contains dispatch): bbox candidates are symmetric, so only
+    the refinement flips sides."""
+    lt, rt = lg.types[li], rg.types[ri]
+    pt_poly = (lt == POINT) & np.isin(rt, _POLYISH)
+    poly_pt = np.isin(lt, _POLYISH) & (rt == POINT)
+    lp = PreparedPolygons.from_geometry_array(lg)
+    rp = PreparedPolygons.from_geometry_array(rg)
+    keep = np.zeros(len(li), dtype=bool)
+    keep[pt_poly] = _points_in_polygons(lg, li[pt_poly], rp, ri[pt_poly])
+    keep[poly_pt] = _points_in_polygons(rg, ri[poly_pt], lp, li[poly_pt])
+    rest = np.flatnonzero(~(pt_poly | poly_pt))
+    if predicate == "within":
+        keep[rest] = _refine(rg, ri[rest], rp, lg, li[rest], lp, contains=True)
+    else:
+        keep[rest] = _refine(lg, li[rest], lp, rg, ri[rest], rp, contains=predicate == "contains")
+    return keep
 
 
 # --------------------------------------------------------------------------
@@ -184,17 +199,19 @@ def spatial_join_table(
 ) -> pa.Table:
     """Reference-parity spatial join of two Arrow tables.
 
-    Pipeline mirrors `spatial_index.rs:37-204`: envelope R-trees on both
-    sides -> bbox candidate pairs -> exact predicate refinement -> suffix
+    Pipeline mirrors `spatial_index.rs:37-204`: an envelope STR-tree ->
+    bbox candidate pairs (one level-synchronous ``query_boxes``) -> exact
+    refinement (:func:`refine_candidates`, one batched pass per type-pair
+    class) -> suffix every column of both sides (`:164-184`) -> inner/left
+    finish (`:186-204`).
 
     ``predicate``: ``intersects`` / ``contains`` (the reference's dispatch)
     plus ``within`` (GeoPandas-parity extension: ``within(l, r)`` ==
-    ``contains(r, l)``, refined with operand sides flipped).
-    every column of both sides (`:164-184`) -> inner/left finish
-    (`:186-204`). Row identity is positional within the tables, which is
-    sound here because both tables are local (Ray blocks would not preserve a
-    global order — the Dataset-level joins below use key columns instead,
-    SURVEY.md §7 "hard" #3).
+    ``contains(r, l)``, refined with operand sides flipped). Row identity
+    is positional within the tables, which is sound here because both
+    tables are local (Ray blocks would not preserve a global order — the
+    Dataset-level joins below use key columns instead, SURVEY.md §7
+    "hard" #3).
     """
     if how not in ("inner", "left"):
         raise ValueError(f"unsupported join type {how!r}")  # `:200-203`
@@ -209,23 +226,7 @@ def spatial_join_table(
     lb = np.column_stack(K.bounds(lg))
     rb = np.column_stack(K.bounds(rg))
     li, ri = STRTree(rb).query_boxes(lb)  # (i, ascending j) candidate pairs
-    lt, rt = lg.types[li], rg.types[ri]
-    # Point ⊗ (Multi)Polygon in either operand order (`:90-96`): the polygon
-    # contains the point, boundary-exclusive, whatever the predicate
-    pt_poly = (lt == POINT) & np.isin(rt, _POLYISH)
-    poly_pt = np.isin(lt, _POLYISH) & (rt == POINT)
-    keep = np.zeros(len(li), dtype=bool)
-    keep[pt_poly] = _points_in_polygons(lg, li[pt_poly], rg, ri[pt_poly])
-    keep[poly_pt] = _points_in_polygons(rg, ri[poly_pt], lg, li[poly_pt])
-    for k in np.flatnonzero(~(pt_poly | poly_pt)):
-        i, j = int(li[k]), int(ri[k])
-        # within(l, r) == contains(r, l) (GeoPandas-parity extension
-        # beyond the reference's intersects/contains dispatch); bbox
-        # candidates are symmetric so only the refinement flips sides
-        if predicate == "within":
-            keep[k] = refine_pair(rg, lg, j, i, "contains")
-        else:
-            keep[k] = refine_pair(lg, rg, i, j, predicate)
+    keep = refine_candidates(lg, rg, li, ri, predicate)
     li, ri = li[keep], ri[keep]
 
     lhs_sfx = lhs.rename_columns([c + l_suffix for c in lhs.column_names])

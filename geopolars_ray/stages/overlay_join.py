@@ -99,12 +99,13 @@ class BroadcastOverlayJoin:
         out_li: list[int] = []
         out_ri: list[int] = []   # -1 = no right side (left residual row)
         out_geom: list = []
+        qi, ti = (self.tree.query_boxes(lb) if self.tree is not None
+                  else (np.empty(0, np.int64), np.empty(0, np.int64)))
+        cand_at = np.searchsorted(qi, np.arange(len(lg) + 1))  # row i: ti[cand_at[i]:cand_at[i+1]]
         for i, g in enumerate(lg):
             if g is None or np.isnan(lb[i]).any():
                 continue
-            cand = (self.tree.query_box(lb[i, 0], lb[i, 1], lb[i, 2], lb[i, 3])
-                    if self.tree is not None else np.empty(0, np.int64))
-            rids = self.rid_map[cand]
+            rids = self.rid_map[ti[cand_at[i]:cand_at[i + 1]]]
             hit_geoms = []
             for r in rids:
                 piece = boolean_op(g, self.right_geoms[int(r)], "intersection")

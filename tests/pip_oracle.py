@@ -114,6 +114,8 @@ def geom_pair_distance(lhs, rhs, i: int) -> float:
     """Exact distance of row ``i``, one Python pass per row: containment of
     either side's vertices, then segment crossings, then point-to-segment
     and point-to-point minima."""
+    from segment_oracle import segments_cross, segments_of
+
     lco = lhs.coord_offsets()
     rco = rhs.coord_offsets()
     a = lhs.coords[lco[i] : lco[i + 1]]
@@ -125,11 +127,11 @@ def geom_pair_distance(lhs, rhs, i: int) -> float:
         if side.types[i] in K._POLY_TYPES:
             if points_in_polygon_single(pts[:, 0], pts[:, 1], K._rings_of(side, i)).any():
                 return 0.0
-    sl = K._segments_of(lhs, i)
-    sr = K._segments_of(rhs, i)
+    sl = segments_of(lhs, i)
+    sr = segments_of(rhs, i)
     # any segment-segment intersection -> the geometries touch/cross -> 0
     # (vertex-to-segment alone misses crossings between vertices)
-    if sl is not None and sr is not None and K.segments_cross(sl, sr):
+    if sl is not None and sr is not None and segments_cross(sl, sr):
         return 0.0
     da = min_point_to_segments(a, sr) if sr is not None else np.inf
     db = min_point_to_segments(b, sl) if sl is not None else np.inf

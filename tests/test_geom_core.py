@@ -776,6 +776,13 @@ def test_shortest_line():
     p, q = lst[3][1]
     assert p == q and np.allclose(p, (5.0, 5.0))  # crossing point witness
     assert lst[4] is None
+    # an open-ring polygon: its implicit closing edge (0,10)->(0,0) is the
+    # nearest, so the length equals distance
+    open_poly = GeometryArray.from_pylist([("polygon", [[(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]])])
+    west = GeometryArray.from_pylist([("point", (-1.0, 5.0))])
+    sl_open = K.shortest_line(open_poly, west)
+    assert sl_open.to_pylist() == [("linestring", [(0.0, 5.0), (-1.0, 5.0)])]
+    assert K.euclidean_length(sl_open)[0] == K.distance(open_poly, west)[0] == 1.0
     # invariant: length of the shortest line == distance kernel, fuzzed
     rng = np.random.default_rng(48)
     A, B = [], []
@@ -872,7 +879,7 @@ def test_review_fixes_r4_final():
     sl = K.shortest_line(GeometryArray.from_pylist(big),
                          GeometryArray.from_pylist([("point", (20.0, 0.0))]))
     p, q = sl.to_pylist()[0][1]
-    assert p == (20.0, 0.0) or q == (20.0, 0.0) or True  # order lhs->rhs
+    assert (p, q) == ((10.0, 0.0), (20.0, 0.0))  # order lhs->rhs
     assert np.isclose(K.euclidean_length(sl)[0], 10.0, rtol=1e-4)
     r = K.minimum_bounding_radius(GeometryArray.from_pylist(
         [("multipoint", [(float(np.cos(a) * 10), float(np.sin(a) * 10)) for a in ang])]))
