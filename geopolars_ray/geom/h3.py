@@ -169,13 +169,6 @@ def _lround_div7(num):
     return np.rint(num / 7.0).astype(np.int64)
 
 
-def _up_ap7(i, j, k):
-    ii = i - k
-    jj = j - k
-    return _norm3(_lround_div7(3 * ii - jj), _lround_div7(ii + 2 * jj),
-                  np.zeros_like(i))
-
-
 def _up_ap7r(i, j, k):
     ii = i - k
     jj = j - k

@@ -64,6 +64,7 @@ def run_curation(
     anywhere in the curated corpus is removed from ALL occurrences —
     unlike the other modes, no occurrence survives); ``False`` = skip.
     """
+    from geopolars_ray.stages.agg import barrier
     from geopolars_ray.stages.cc import dedup_keep_representatives
     from geopolars_ray.stages.dedup import (
         MinHasher,
@@ -94,12 +95,12 @@ def run_curation(
         # gibberish and degenerate repetition live in the tails). The LM
         # trains on the quality-floored corpus itself — one extra
         # combiner-first pass — and scoring is a broadcast kernel, so this
-        # adds no shuffle. Requires the docs stream be materialized once
-        # (train + score are two consumers of the same stage boundary).
+        # adds no shuffle. Train + score are two consumers of one stage
+        # boundary.
         from geopolars_ray.stages.lm import score_corpus, train_unigram_lm
 
         lo, hi = lm_band
-        docs = docs.materialize()
+        docs = barrier(docs)
         lm_state = train_unigram_lm(docs)
         docs = score_corpus(docs, lm_state).map_batches(
             lambda b: b.filter(
@@ -130,11 +131,11 @@ def run_curation(
         out = docs
     else:
         # both dedup modes consume the curated corpus TWICE (signature pass +
-        # dedup target, or segment explode + per-doc counts) — materialize
-        # the stage boundary once so the lazy actor-pool chain above never
-        # re-executes, and so two concurrent consumers can't each reserve an
-        # actor pool and starve a small session (see ray-data-perf notes)
-        docs = docs.materialize()
+        # dedup target, or segment explode + per-doc counts) — one barrier
+        # so the lazy actor-pool chain above never re-executes, and so two
+        # concurrent consumers can't each reserve an actor pool and starve a
+        # small session (see ray-data-perf notes)
+        docs = barrier(docs)
     if dedup == "substring":
         from geopolars_ray.stages.spandedup import exact_substring_dedup
 

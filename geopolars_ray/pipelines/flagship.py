@@ -24,6 +24,7 @@ import pyarrow.parquet as pq
 
 import ray
 
+from geopolars_ray.stages.agg import barrier
 from geopolars_ray.stages.extract import ExtractGeoTags, assign_tiles
 from geopolars_ray.stages.join import BroadcastPIPJoin
 from geopolars_ray.sources.pages import admin_polygons_table
@@ -169,7 +170,7 @@ def run_flagship_fused(
     # partials reach the merge in shard order, not completion order, so the
     # float sums associate the same way in every run
     items.context.execution_options.preserve_order = True
-    parts = items.map_batches(shard_pipeline, batch_format="pyarrow", batch_size=1).materialize()
+    parts = barrier(items.map_batches(shard_pipeline, batch_format="pyarrow", batch_size=1))
     out = merge_rollup(parts, tcol, num_partitions)
     if out_path is not None:
         out.write_parquet(out_path)

@@ -146,31 +146,6 @@ def q_geo_affine(sf_dir: str):
     return ds.select_columns(["c_custkey", "xt", "yt", "xa", "ya"])
 
 
-def q_geo_rotate(sf_dir: str):
-    """rotate THEN skew THEN scale chained on the geometry column, plus the
-    x/y accessors after every stage (four kernels in one gate entry; the r3
-    registry fits the driver's 50-query cap by merging the former geo_xy /
-    geo_skew / geo_scale entries — every kernel stays float-exact vs SQL:
-    quarter-turn rotate is (-y, x), 45-degree skew uses exact tan=1, scale
-    is exact multiplication)."""
-    ds = customer_points(sf_dir)
-    ds = ds.map_batches(
-        geo_ops([
-            ("rotate", dict(angle_deg=90.0, origin=(0.0, 0.0))),
-            ("x", {}, "xr"),
-            ("y", {}, "yr"),
-            ("skew", dict(xs=45.0, ys=0.0, origin=(0.0, 0.0))),
-            ("x", {}, "xk"),
-            ("y", {}, "yk"),
-            ("scale", dict(xfact=2.0, yfact=-0.5, origin=(0.0, 0.0))),
-            ("x", {}, "xs"),
-            ("y", {}, "ys"),
-        ]),
-        batch_format="pyarrow",
-    )
-    return ds.select_columns(["c_custkey", "xr", "yr", "xk", "yk", "xs", "ys"])
-
-
 def q_geo_rect_stats(sf_dir: str):
     """area / perimeter / centroid / envelope over the nation rect polygons."""
     rects = nation_rects(sf_dir)
@@ -839,8 +814,8 @@ def q_rel_join_agg(sf_dir: str):
 
 
 # q_rel_distinct_types (two-level hash_aggregate COUNT DISTINCT) was retired
-# from the registry in r4 in favor of pipe_curation; the operator shape stays
-# gate-covered by rel_union_distinct and the hash_aggregate entries.
+# from the registry in r4 in favor of pipe_curation; each of its levels is a
+# hash_aggregate, gate-covered by the hash_aggregate entries.
 
 
 # --------------------------------------------------------------------------
@@ -1511,36 +1486,6 @@ def q_rel_anti(sf_dir: str):
     )
 
 
-def q_rel_union_distinct(sf_dir: str):
-    """Set ops: union of two filtered reads + distinct count per segment."""
-    def seg_in(vals):
-        def fn(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.is_in(batch["c_mktsegment"], value_set=pa.array(vals)))
-
-        return fn
-
-    a = _read_exchange(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).map_batches(
-        seg_in(["BUILDING", "MACHINERY"]), batch_format="pyarrow"
-    )
-    b = _read_exchange(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).map_batches(
-        seg_in(["MACHINERY", "AUTOMOBILE"]), batch_format="pyarrow"
-    )
-    u = a.union(b)
-    from geopolars_ray.stages.agg import hash_aggregate
-
-    # union keeps duplicates (MACHINERY rows appear twice) — count rows and
-    # distinct keys per segment
-    lvl = hash_aggregate(u, ["c_mktsegment", "c_custkey"], [("c_custkey", "count", "n_dup")], 8)
-
-    def agg(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["c_mktsegment"]).aggregate([("c_custkey", "count"), ("n_dup", "sum")])
-        return g.rename_columns(["c_mktsegment", "n_distinct", "n_rows"])
-
-    from geopolars_ray.stages.agg import hash_partitioned_map
-
-    return hash_partitioned_map(lvl, ["c_mktsegment"], agg, 4)
-
-
 def q_rel_sample(sf_dir: str):
     """Deterministic keyed sampling — ORACLE-CHECKED (r3; was rows-only
     random_sample). Knuth multiplicative hash on o_orderkey, exact int64
@@ -2091,8 +2036,8 @@ QUERIES = {
     "rel_sliding": q_rel_sliding,
     "rel_group_topk": q_rel_group_topk,
     # rel_union_distinct was swapped out in r5 for the rasterization gate:
-    # ds.union + distinct-count semantics stay covered by dd_exact_docs'
-    # distinct gate and the function above, and the 50-entry cap is full
+    # ds.union stays covered by geo_geojson's gate and distinct counting by
+    # dd_exact_docs', and the 50-entry cap is full
     "geo_rasterize": q_geo_rasterize,
     "rel_sample": q_rel_sample,
     "mm_decode": q_mm_decode,
@@ -2105,7 +2050,7 @@ QUERIES = {
     "rel_topk": q_rel_topk,
     "rel_join_agg": q_rel_join_agg,
     # rel_distinct_types was swapped out in r4 for the composed curation
-    # pipeline: distinct is still gate-covered by rel_union_distinct, and
+    # pipeline: distinct counting stays gate-covered by dd_exact_docs, and
     # the 50-entry driver cap is full (see COVERAGE.md "Registry note")
     "pipe_curation": q_pipe_curation,
     "dd_exact_docs": q_dd_exact_docs,

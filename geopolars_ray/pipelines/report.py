@@ -32,7 +32,7 @@ def corpus_report(
       (Misra-Gries heavy hitters with sound count bounds),
     - optional contamination rate vs ``probe_texts``.
     """
-    from geopolars_ray.stages.agg import hash_aggregate
+    from geopolars_ray.stages.agg import barrier, hash_aggregate
     from geopolars_ray.stages.freq import heavy_hitters
     from geopolars_ray.stages.quantile import quantile_sketch
     from geopolars_ray.stages.text import LangId, quality_score, token_stats
@@ -43,8 +43,8 @@ def corpus_report(
     docs = docs.map_batches(token_stats(), batch_format="pyarrow")
     docs = docs.map_batches(quality_score(), batch_format="pyarrow")
     docs = docs.map_batches(LangId, batch_format="pyarrow", concurrency=2)
-    # several consumers below -> one materialized stage boundary
-    docs = docs.materialize()
+    # several consumers below -> one stage boundary
+    docs = barrier(docs)
 
     report: dict = {"n_docs": docs.count()}
 

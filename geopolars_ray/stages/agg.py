@@ -119,13 +119,13 @@ def hash_aggregate(
     stage1 = ds.map_batches(partial, batch_format="pyarrow").map_batches(
         tree_combine, batch_format="pyarrow", batch_size=262144
     )
-    # Materialize the (combined, small) partials before the shuffle: the
+    # A barrier on the (combined, small) partials before the shuffle: the
     # sort-based groupby is a barrier regardless, and keeping the AllToAll
     # operator out of the map plan stops the executor's resource reservation
     # from starving the map stage on small clusters (observed: map ran ~1
     # task at a time at 4-8 CPUs with the sort attached — 4x wall time).
     # Partials are a compressed stage boundary, so pinning them is cheap.
-    stage1 = stage1.materialize()
+    stage1 = barrier(stage1)
     return stage1.groupby("_part").map_groups(final, batch_format="pyarrow")
 
 
@@ -254,8 +254,7 @@ def hash_partitioned_map(
     never calls ``fn``, nor any later ``map_batches`` UDF, on such a block
     (after a P=4 exchange over 16 blocks a UDF ran on the 4 non-empty
     blocks only); ``count``, ``to_pandas`` and ``write_parquet`` tolerate
-    it. Code that concatenates the blocks itself goes through
-    :func:`concat_blocks`.
+    it. :func:`barrier` and :func:`concat_blocks` drop them.
     """
     keys = list(keys)
 
@@ -270,13 +269,63 @@ def hash_partitioned_map(
     )
 
 
+def barrier(ds):
+    """A stage boundary: execute ``ds`` once and return a Dataset over its
+    blocks that carries no lineage.
+
+    A materialized Dataset keeps its stats lineage, and every later
+    execution walks it. An iterative operator that builds each round from
+    two references to the last round's output (``cc.py``) doubles that
+    lineage per round; the rebuilt Dataset starts from its block refs
+    alone, as Spark's RDD checkpoint does. Blocks whose metadata reads zero
+    rows (the empty sort ranges of :func:`hash_partitioned_map`) are
+    dropped without fetching them; when every block is empty one is kept,
+    so ``schema()`` still answers. The Dataset keeps ``ds``'s
+    ``DataContext``: ``preserve_order`` set on it still holds downstream.
+    """
+    # Ray has no public constructor for a Dataset over given blocks under a
+    # given DataContext (``from_arrow_refs`` takes the current context);
+    # these are the parts ``Dataset.materialize`` builds its result from.
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.block import _take_first_non_empty_schema
+    from ray.data.dataset import MaterializedDataset
+
+    executed = list(ds.iter_internal_ref_bundles())
+    schema = _take_first_non_empty_schema(b.schema for b in executed)
+    blocks = [blk for b in executed for blk in b.blocks]
+    live = [blk for blk in blocks if blk[1].num_rows != 0] or blocks[:1]
+    bundles = [RefBundle(blocks=[blk], owns_blocks=False, schema=schema) for blk in live]
+    ctx = ds.context.copy()
+    return MaterializedDataset(ExecutionPlan(DatasetStats(metadata={}, parent=None), ctx),
+                               LogicalPlan(InputData(input_data=bundles), ctx))
+
+
 def concat_blocks(ds, empty: pa.Table | None = None) -> pa.Table:
-    """One table of a Dataset's blocks, skipping the zero-column blocks an
-    exchange emits for its empty sort ranges (:func:`hash_partitioned_map`).
-    ``empty`` is returned when no block has columns."""
+    """The collecting form of :func:`barrier`: one table of ``ds``'s
+    non-empty blocks. With no rows it returns ``empty``, else a zero-row
+    table of ``ds``'s schema."""
     import ray
 
-    parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns > 0]
-    if parts:
-        return pa.concat_tables(parts)
-    return empty if empty is not None else pa.table({})
+    live = barrier(ds)
+    if live.count():
+        return pa.concat_tables(ray.get(live.to_arrow_refs()))
+    if empty is not None:
+        return empty
+    schema = live.schema()
+    return schema.base_schema.empty_table() if schema is not None else pa.table({})
+
+
+def tree_merge(partials, merge_batch: Callable[[pa.Table], pa.Table], fanin: int) -> pa.Table:
+    """Fold a Dataset of mergeable partial rows (sketches, bitmaps,
+    digests) ``fanin`` rows per ``merge_batch`` call, level by level, until
+    at most ``fanin`` rows remain; returns those rows for the caller's
+    final fold. Driver traffic is bounded by ``fanin`` partials whatever
+    the input's block count."""
+    x = barrier(partials)
+    while x.count() > fanin:
+        x = barrier(x.map_batches(merge_batch, batch_format="pyarrow", batch_size=fanin))
+    return concat_blocks(x)

@@ -1,12 +1,11 @@
-"""Similarity search over an embedding column: brute-force + LSH-bucketed ANN.
+"""Similarity search over an embedding column: brute-force + IVF ANN.
 
 Brute-force cosine top-k is the exact baseline: the query matrix is
 broadcast (``ray.put`` once, loaded per actor in ``__init__``), each batch
 does one matmul and emits per-batch partial top-k rows — tiny (queries x k)
-outputs — and a final per-query reduce merges partials. The LSH variant
-(:class:`geopolars_ray.stages.dedup.EmbeddingLSH`) restricts the scan to
-matching buckets — the scale path when the corpus no longer fits a
-full scan.
+outputs — and a final per-query reduce merges partials. The IVF variant
+(:func:`ivf_knn`) restricts the scan to each query's ``nprobe`` nearest
+k-means lists — the scale path when the corpus no longer fits a full scan.
 """
 
 from __future__ import annotations
@@ -255,33 +254,3 @@ def ivf_knn(
     )
     return brute_force_knn(filtered, queries, k=k, concurrency=concurrency, id_col=id_col, emb_col=emb_col, metric=metric)
 
-
-def lsh_knn(ds, queries: dict, dim: int, k: int = 10, n_planes: int = 8, concurrency=2,
-            id_col: str = "vec_id", emb_col: str = "embedding"):
-    """Approximate top-k: scan only rows whose LSH bucket matches a query's.
-
-    Recall < 1.0 by design (bucket-boundary misses); n_planes trades recall
-    for scan fraction (2^-n_planes of the corpus per query in expectation).
-    """
-    from geopolars_ray.stages.dedup import EmbeddingLSH
-
-    rng_planes = EmbeddingLSH(dim, n_planes, id_col=id_col, emb_col=emb_col)
-    qm = np.asarray(queries["qvec"], dtype=np.float64)
-    qbits = (qm @ rng_planes.planes > 0).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        qkeys = np.zeros(len(qm), dtype=np.uint64)
-        for p in range(n_planes):
-            qkeys |= qbits[:, p] << np.uint64(p)
-    wanted = set(qkeys.view(np.int64).tolist())
-
-    bucketed = ds.map_batches(
-        EmbeddingLSH,
-        fn_constructor_kwargs=dict(dim=dim, n_planes=n_planes, id_col=id_col, emb_col=emb_col),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
-    filtered = bucketed.map_batches(
-        lambda t: t.filter(pa.array(np.isin(t["lsh_bucket"].to_numpy(zero_copy_only=False), list(wanted)))),
-        batch_format="pyarrow",
-    )
-    return brute_force_knn(filtered, queries, k=k, concurrency=concurrency, id_col=id_col, emb_col=emb_col)

@@ -177,18 +177,12 @@ def build_bloom(build_ds, on, *, n_keys_hint: int | None = None,
         np.bitwise_or.reduce(vals, axis=0, out=acc)
         return pa.table({"bits": pa.array([acc], pa.list_(pa.uint64()))})
 
-    n = partials.count()
-    while n > fanin:
-        partials = partials.map_batches(
-            or_batch, batch_format="pyarrow", batch_size=fanin
-        ).materialize()
-        n = partials.count()
+    from geopolars_ray.stages.agg import tree_merge
 
     out = BloomFilter(m_bits, kk)
-    for b in partials.iter_batches(batch_format="pyarrow", batch_size=fanin):
-        t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-        for row in t["bits"].to_pylist():
-            out.bits |= np.asarray(row, dtype=np.uint64)
+    top = tree_merge(partials, or_batch, fanin)
+    if top.num_rows:
+        out.bits |= np.asarray(or_batch(top)["bits"][0].as_py(), dtype=np.uint64)
     return out
 
 

@@ -19,9 +19,13 @@ bidirectional edge list, a hash-partitioned min-aggregate of the messages
 million-duplicate boilerplate page — contributes one row per block to each
 shuffle, not a million), and one pointer-jumping self-join
 (label <- label(label)) that turns O(diameter) rounds into O(log diameter).
-Per-iteration state is one (node,label) row per node, materialized in the
-OBJECT STORE between iterations (iterative algorithms need a barrier per
-step; the driver only ever sees the scalar changed-count). Convergence:
+Per-iteration state is one (node,label) row per node, held in the OBJECT
+STORE between iterations behind a `stages/agg.barrier` (the driver only
+ever sees the scalar changed-count). Each round reads the last round's
+labels twice (the neighbour join and `_shortcut`'s self-join), so a plain
+``materialize()`` would double the Dataset lineage every round, and every
+execution walks it. The barrier rebuilds each round's labels from their
+block refs alone, so every round costs the same. Convergence:
 labels are monotone non-increasing and a zero-change propagation round
 implies labels are uniform along every edge, so `changed == 0` is exact.
 Near-dup graphs are star/clique-shaped — measured 2-3 rounds; the default
@@ -102,12 +106,12 @@ def connected_components(
 
     Returns a materialized Dataset with columns ``[node_col, label_col]``.
     """
-    from geopolars_ray.stages.agg import hash_aggregate
+    from geopolars_ray.stages.agg import barrier, hash_aggregate
     from geopolars_ray.stages.hashjoin import hash_join
 
     import ray
 
-    edges = pairs_ds.map_batches(_bidir(src, dst), batch_format="pyarrow").materialize()
+    edges = barrier(pairs_ds.map_batches(_bidir(src, dst), batch_format="pyarrow"))
     if edges.count() == 0:
         # empty pair graph: no nodes, every doc is a singleton downstream
         return ray.data.from_arrow(pa.table({
@@ -123,9 +127,9 @@ def connected_components(
     msgs0 = edges.rename_columns(["node", "lab"]).union(
         edges.map_batches(self_msg, batch_format="pyarrow")
     )
-    labels = hash_aggregate(
+    labels = barrier(hash_aggregate(
         msgs0, ["node"], [("lab", "min", "label")], num_partitions=num_partitions
-    ).materialize()
+    ))
 
     edge_schema = pa.schema([("node", pa.int64()), ("nbr", pa.int64())])
     label_schema = pa.schema([("node", pa.int64()), ("label", pa.int64())])
@@ -161,12 +165,12 @@ def connected_components(
         msgs = joined.map_batches(nbr_msg, batch_format="pyarrow").union(
             labels.map_batches(self_msg_iter, batch_format="pyarrow")
         )
-        agg = hash_aggregate(
+        agg = barrier(hash_aggregate(
             msgs,
             ["node"],
             [("lab", "min", "label"), ("self_lab", "min", "_old")],
             num_partitions=num_partitions,
-        ).materialize()
+        ))
 
         changed = agg.map_batches(
             lambda b: pa.table(
@@ -179,8 +183,8 @@ def connected_components(
             # propagation fixpoint == labels uniform along every edge ==
             # every node carries its component minimum (the min node's own
             # label can never drop below itself) — exact, not heuristic.
-            return labels.rename_columns([node_col, label_col]).materialize()
-        labels = _shortcut(labels, label_schema, num_partitions).materialize()
+            return barrier(labels.rename_columns([node_col, label_col]))
+        labels = barrier(_shortcut(labels, label_schema, num_partitions))
 
     raise RuntimeError(
         f"connected_components did not converge in {max_iters} iterations — "

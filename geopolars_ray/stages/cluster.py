@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from geopolars_ray.geom.array import _expand_cell_rects
-from geopolars_ray.stages.agg import hash_aggregate, hash_partitioned_map
+from geopolars_ray.stages.agg import barrier, hash_aggregate, hash_partitioned_map
 from geopolars_ray.stages.hashjoin import hash_join
 from geopolars_ray.stages.cc import connected_components
 from geopolars_ray.stages.knn import dwithin_join
@@ -74,7 +74,7 @@ def dbscan(
         pts, tgts, eps, point_id="pid", target_id="tid",
         canonical=True, num_partitions=num_partitions, cell_size=cell_size,
     ).map_batches(lambda b: b.select(["pid", "tid"]), batch_format="pyarrow")
-    pairs = pairs.materialize()  # consumed three times below
+    pairs = barrier(pairs)  # consumed three times below
 
     # neighbor counts: each canonical pair counts for BOTH endpoints;
     # +1 for self happens in the threshold
@@ -100,12 +100,11 @@ def dbscan(
             return b.filter(pc.greater_equal(b["n_nbrs"], need)).select(["node"])
 
         core_ids = counts.map_batches(_core_only, batch_format="pyarrow")
-    core_ids = core_ids.materialize()  # small relative to pairs; reused 3x
+    core_ids = barrier(core_ids)  # small relative to pairs; reused 3x
 
     # Explicit schemas on every join below: a noise-only input has ZERO
-    # eps-pairs, the materialized `pairs` has no blocks and
-    # Dataset.schema() returns None (ids are int64 — the cc stage pins
-    # that anyway).
+    # eps-pairs, and the `pairs` barrier may then hold no schema at all
+    # (ids are int64 — the cc stage pins that anyway).
     pair_schema = pa.schema([("pid", pa.int64()), ("tid", pa.int64())])
     node_schema = pa.schema([("node", pa.int64())])
     label_schema = pa.schema([("node", pa.int64()), ("cluster", pa.int64())])
@@ -130,7 +129,7 @@ def dbscan(
     lonely = lonely.map_batches(
         lambda b: pa.table({"node": b["node"], "cluster": b["node"]}),
         batch_format="pyarrow")
-    core_labels = labels.union(lonely).materialize()
+    core_labels = barrier(labels.union(lonely))
 
     # border points: non-core endpoint of a pair whose other endpoint is
     # core -> min component among those core neighbors

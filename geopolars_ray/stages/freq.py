@@ -56,7 +56,7 @@ def heavy_hitters(ds, cols: Sequence[str], k: int = 10, *, capacity: int = 4096,
     whose re-execution is expensive; for a raw parquet read, ``count()`` is
     metadata-only).
     """
-    from geopolars_ray.stages.agg import hash_aggregate
+    from geopolars_ray.stages.agg import barrier, hash_aggregate
 
     cols = list(cols)
 
@@ -72,10 +72,10 @@ def heavy_hitters(ds, cols: Sequence[str], k: int = 10, *, capacity: int = 4096,
         n_total = ds.count()
 
     summaries = ds.map_batches(block_summary, batch_format="pyarrow")
-    agg = hash_aggregate(
+    agg = barrier(hash_aggregate(
         summaries, cols, [("cnt", "sum", "count_lb")],
         num_partitions=num_partitions,
-    ).materialize()
+    ))
 
     lb_sum = agg.sum("count_lb") or 0
     total_err = int(n_total - lb_sum)
@@ -86,4 +86,4 @@ def heavy_hitters(ds, cols: Sequence[str], k: int = 10, *, capacity: int = 4096,
         lb = batch["count_lb"].to_numpy(zero_copy_only=False)
         return batch.append_column("count_ub", pa.array(lb + total_err))
 
-    return top.map_batches(add_ub, batch_format="pyarrow").materialize()
+    return barrier(top.map_batches(add_ub, batch_format="pyarrow"))

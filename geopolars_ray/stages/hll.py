@@ -89,19 +89,13 @@ def approx_distinct(ds, cols: Sequence[str] | str, p: int = 12, fanin: int = 64)
             np.maximum(acc, np.frombuffer(b, dtype=np.uint8), out=acc)
         return pa.table({"regs": pa.array([acc.tobytes()], pa.binary())})
 
+    from .agg import tree_merge
+
     sk = ds.select_columns(cols).map_batches(block_regs, batch_format="pyarrow")
-    n = sk.count()
-    while n > fanin:
-        sk = sk.map_batches(
-            merge_batch, batch_format="pyarrow", batch_size=fanin
-        ).materialize()
-        n = sk.count()
-    acc = np.zeros(m, dtype=np.uint8)
-    for b in sk.iter_batches(batch_format="pyarrow", batch_size=fanin):
-        t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-        for rb in t["regs"].to_pylist():
-            np.maximum(acc, np.frombuffer(rb, dtype=np.uint8), out=acc)
-    return _estimate(acc)
+    top = tree_merge(sk, merge_batch, fanin)
+    if not top.num_rows:
+        return _estimate(np.zeros(m, dtype=np.uint8))
+    return _estimate(np.frombuffer(merge_batch(top)["regs"][0].as_py(), dtype=np.uint8))
 
 
 def approx_distinct_grouped(

@@ -207,6 +207,7 @@ def knn_join(
     """
     import pyarrow.compute as pc
 
+    from geopolars_ray.stages.agg import barrier
     from geopolars_ray.stages.hashjoin import hash_join
 
     remaining = points_ds.select_columns([point_id, x_col, y_col])
@@ -248,10 +249,10 @@ def knn_join(
     cd = float(cell_deg)
     while True:
         covers_all = cd >= 360.0  # one cell spans the lon/lat domain -> exact
-        ranked = _cell_exchange(
+        ranked = barrier(_cell_exchange(
             remaining, targets_ds, schemas, cd, top_k(cd, covers_all), x_col=x_col, y_col=y_col,
             point_id=point_id, target_id=target_id, num_partitions=num_partitions,
-        ).materialize()
+        ))
         complete = ranked.map_batches(
             lambda t: t.filter(pc.equal(t["_complete"], True)).drop_columns(["_complete"]),
             batch_format="pyarrow",
@@ -271,10 +272,10 @@ def knn_join(
             break
         # remainder = points not yet complete. The anti-join tolerates
         # duplicate right keys and reads only the key column of `complete`
-        remaining = hash_join(
+        remaining = barrier(hash_join(
             remaining, complete, on=[point_id], how="left_anti", num_partitions=num_partitions,
             left_schema=schemas[0], right_schema=pa.schema([schemas[0].field(point_id)]),
-        ).materialize()
+        ))
         n_remaining = remaining.count()
         if n_remaining == 0:
             break

@@ -74,7 +74,7 @@ def train_unigram_lm(ds, text_col: str = "text", vocab_size: int = 1 << 16,
     (including ones outside the top-K vocabulary), so probabilities keep
     summing to ≤1 after truncation.
     """
-    from geopolars_ray.stages.agg import hash_aggregate
+    from geopolars_ray.stages.agg import barrier, hash_aggregate
 
     def partial(batch: pa.Table) -> pa.Table:
         th, _cnt = _nonempty_token_hashes(batch[text_col].combine_chunks())
@@ -88,8 +88,8 @@ def train_unigram_lm(ds, text_col: str = "text", vocab_size: int = 1 << 16,
                          "n": pa.array(counts.astype(np.int64))})
 
     parts = ds.select_columns([text_col]).map_batches(partial, batch_format="pyarrow")
-    agg = hash_aggregate(parts, ["tok"], [("n", "sum", "n")],
-                         num_partitions=num_partitions).materialize()
+    agg = barrier(hash_aggregate(parts, ["tok"], [("n", "sum", "n")],
+                                 num_partitions=num_partitions))
     total = int(agg.sum("n") or 0)
     # deterministic tie-break at the vocab_size boundary (count desc, then
     # token hash asc) — a bare count sort picks an arbitrary layout-dependent

@@ -52,7 +52,7 @@ from geopolars_ray.geom.array import GeometryArray
 from geopolars_ray.geom.buffer import _union_tree
 from geopolars_ray.geom.overlay import boolean_op
 from geopolars_ray.geom.strtree import STRTree
-from geopolars_ray.stages.agg import concat_blocks, hash_partitioned_map
+from geopolars_ray.stages.agg import barrier, concat_blocks, hash_partitioned_map
 
 HOWS = ("intersection", "difference", "identity", "union",
         "symmetric_difference")
@@ -226,10 +226,10 @@ def broadcast_overlay_join(left_ds, right: pa.Table, how: str = "intersection",
         raise ValueError(f"how must be one of {HOWS}, got {how!r}")
     if how in ("union", "symmetric_difference"):
         # these hows consume the left layer TWICE (streaming piece pass +
-        # eager right-residual fold) — materialize once so the upstream
+        # eager right-residual fold) — one barrier so the upstream
         # pipeline (reads, decodes, prior stages) doesn't execute twice;
         # the object store spills if the layer exceeds memory
-        left_ds = left_ds.materialize()
+        left_ds = barrier(left_ds)
     right_ref = ray.put(right)
     emit_pieces = how in ("intersection", "identity", "union")
     emit_resid = how in ("difference", "identity", "union",

@@ -35,15 +35,15 @@ def pivot(
     (nullable index keys don't have a total sort order for the dense-code
     fold).
     """
-    from .agg import hash_aggregate, hash_partitioned_map
+    from .agg import barrier, hash_aggregate, hash_partitioned_map
 
     index = [index] if isinstance(index, str) else list(index)
-    cells = hash_aggregate(
+    cells = barrier(hash_aggregate(
         ds,
         index + [column],
         [(value, agg, "_v")],
         num_partitions=num_partitions,
-    ).materialize()  # distinct-pair-sized; consumed twice below
+    ))  # distinct-pair-sized; consumed twice below
 
     raw_vals = [
         r[column]

@@ -195,19 +195,10 @@ def quantile_sketch(ds, col: str, qs: Sequence[float], *, delta: int = 200,
     def merge_batch(batch: pa.Table) -> pa.Table:
         return _digest_table(_merge_digest_batch(batch, delta))
 
-    # tree merge: each pass folds `fanin` digest rows into one
-    n = digests.count()
-    while n > fanin:
-        digests = digests.map_batches(
-            merge_batch, batch_format="pyarrow", batch_size=fanin
-        ).materialize()
-        n = digests.count()
+    from geopolars_ray.stages.agg import tree_merge
 
-    final = TDigest(delta)
-    for b in digests.iter_batches(batch_format="pyarrow", batch_size=fanin):
-        t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-        final.merge(_merge_digest_batch(t, delta))
-    return final.quantile(qs)
+    top = tree_merge(digests, merge_batch, fanin)
+    return TDigest(delta).merge(_merge_digest_batch(top, delta)).quantile(qs)
 
 
 # ------------------------------------------------------- exact grouped path

@@ -116,6 +116,7 @@ def test_asof_join_preserves_int64_precision(ray_session):
     """Right value columns keep their Arrow type and exact values above 2^53
     (no float64 NaN-padding round-trip) — ADVICE r1."""
     import ray
+    from geopolars_ray.stages.agg import concat_blocks
     from geopolars_ray.stages.asof import asof_join
 
     big = (1 << 53) + 1  # not representable in float64
@@ -133,8 +134,7 @@ def test_asof_join_preserves_int64_precision(ray_session):
         ray.data.from_arrow(left), ray.data.from_arrow(right),
         key="uid", ts_col="ts", right_cols=["big"], num_partitions=2,
     )
-    blocks = [ray.get(r) for r in out.to_arrow_refs()]
-    tab = pa.concat_tables([b for b in blocks if b.num_rows > 0])
+    tab = concat_blocks(out)
     assert tab.schema.field("big_r").type == pa.int64()
     rows = {r["eid"]: r["big_r"] for r in tab.to_pylist()}
     assert rows[1] == big        # exact, not 2^53
@@ -465,3 +465,46 @@ def test_worker_cached_instance_reuse_and_key_isolation(ray_session):
 
     with _pytest.raises(TypeError, match="hashable"):
         worker_cached(Tag, label={"not": "hashable"})
+
+
+def test_barrier_keeps_lineage_flat(ray_session):
+    """Each round reads the last round's output twice; a plain
+    ``materialize()`` doubles the stats lineage every round (~1.7x longer
+    stats per round), a barrier keeps it flat. A rebuilt Dataset reads
+    ``stats() == ""`` until it executes, so measure one execution on it."""
+    import ray
+
+    from geopolars_ray.stages.agg import barrier
+
+    x = ray.data.range(100)
+    lens = []
+    for _ in range(10):
+        x = barrier(x.union(x).repartition(1))
+        lens.append(len(x.map_batches(lambda b: b).materialize().stats()))
+    assert x.count() == 100 << 10
+    assert lens[-1] <= 2 * lens[1], lens
+
+
+def test_barrier_drops_empty_exchange_blocks(ray_session):
+    """After a P=4 exchange over 16 blocks, 12 sort ranges are empty; the
+    barrier keeps only blocks with rows, found from block metadata."""
+    import ray
+
+    from geopolars_ray.stages.agg import barrier, concat_blocks, hash_partitioned_map
+
+    t = pa.table({"k": np.arange(160, dtype=np.int64), "v": np.ones(160)})
+    ds = ray.data.from_arrow([t.slice(i * 10, 10) for i in range(16)])
+    ds.context.execution_options.preserve_order = True
+    out = barrier(hash_partitioned_map(ds, ["k"], lambda g: g, num_partitions=4))
+    meta = [m for bundle in out.iter_internal_ref_bundles() for _, m in bundle.blocks]
+    assert 0 < len(meta) <= 4 and out.num_blocks() == len(meta)
+    assert all(m.num_rows > 0 for m in meta)
+    assert concat_blocks(out).sort_by("k").equals(t)
+    # the barrier's Dataset runs under its input's DataContext
+    assert out.context.execution_options.preserve_order
+
+    # every block empty: one is kept, and the schema still answers
+    none = barrier(hash_partitioned_map(ds, ["k"], lambda g: g.slice(0, 0), num_partitions=4))
+    assert none.count() == 0 and none.num_blocks() == 1
+    assert none.schema().names == ["k", "v"]
+    assert concat_blocks(none).schema.equals(t.schema)

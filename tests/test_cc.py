@@ -65,6 +65,31 @@ def test_cc_path_graph_needs_iterations(ray_session):
     assert len(got) == 42
 
 
+def test_cc_rounds_keep_lineage_flat(ray_session, monkeypatch):
+    """Each round builds its labels from two references to the last
+    round's (the neighbour join and the pointer-jumping self-join). Round
+    k's labels must carry no more lineage than round 1's; a plain
+    ``materialize()`` per round doubles it every round. Measured as the
+    length of ``stats()`` of each round's min-aggregate."""
+    from geopolars_ray.stages import agg
+
+    real = agg.hash_aggregate
+    lens = []
+
+    def measured(*args, **kw):
+        out = real(*args, **kw).materialize()
+        lens.append(len(out.stats()))
+        return out
+
+    monkeypatch.setattr(agg, "hash_aggregate", measured)
+    pairs = [(i, i + 1) for i in range(299, -1, -1)]
+    got = concat_blocks(connected_components(_pairs_ds(pairs), num_partitions=4))
+    assert set(got["component"].to_pylist()) == {0} and got.num_rows == 301
+    # lens[0] is the initial labels, lens[k] round k's
+    assert len(lens) >= 7, lens
+    assert max(lens[2:]) <= 1.5 * lens[1], lens
+
+
 def test_cc_cliques_and_stars(ray_session):
     # two cliques bridged by one edge + an isolated star
     pairs = (

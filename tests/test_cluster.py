@@ -240,15 +240,14 @@ def test_cluster_within_api(ray_session):
 
     from geopolars_ray.api import GeoDataset
     from geopolars_ray.geom import GeometryArray, encode_wkb
+    from geopolars_ray.stages.agg import concat_blocks
 
     geoms = [("point", (0.0, 0.0)), ("point", (0.5, 0.0)),
              ("point", (5.0, 5.0))]
     t = pa.table({"gid": pa.array([7, 8, 9], pa.int64()),
                   "geometry": encode_wkb(GeometryArray.from_pylist(geoms))})
-    out = pa.concat_tables(
-        [x for x in ray.get(
-            GeoDataset(ray.data.from_arrow(t)).cluster_within(1.0, id_col="gid")
-            .dataset.to_arrow_refs()) if x.num_columns > 0])
+    out = concat_blocks(
+        GeoDataset(ray.data.from_arrow(t)).cluster_within(1.0, id_col="gid").dataset)
     lab = dict(zip(out["gid"].to_pylist(), out["cluster"].to_pylist()))
     assert lab == {7: 7, 8: 7, 9: 9}
     assert "geometry" in out.column_names

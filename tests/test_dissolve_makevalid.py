@@ -87,12 +87,9 @@ def test_make_valid_stage(ray_session):
 
 # ---------------------------------------------------------------- dissolve
 def _run(ds):
-    import ray
+    from geopolars_ray.stages.agg import concat_blocks
 
-    # Ray's sort-based map_groups emits zero-column blocks for empty
-    # partitions; drop them before concat (to_pandas does the same).
-    tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns > 0]
-    return pa.concat_tables(tabs)
+    return concat_blocks(ds)
 
 
 def test_dissolve_seams_overlaps_nulls(ray_session):

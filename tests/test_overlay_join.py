@@ -70,10 +70,9 @@ def _left_ds(lefts, extra=None):
 
 
 def _collect(ds):
-    import ray
+    from geopolars_ray.stages.agg import concat_blocks
 
-    tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns > 0]
-    return pa.concat_tables(tabs)
+    return concat_blocks(ds)
 
 
 def test_intersection_matches_pairwise_overlay(ray_session, layers):
