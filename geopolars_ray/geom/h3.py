@@ -969,12 +969,16 @@ EARTH_RADIUS_KM = 6371.007180918475   # libh3 constants.h (authalic sphere)
 def grid_distance(a, b, max_k: int = 256):
     """minimum grid steps between cell pairs (libh3 ``gridDistance``).
 
-    Vectorized-BFS per pair over :func:`cell_to_neighbors` — no local-IJ
-    tables needed, pentagon-safe by construction.  Cost is O(d^2) lattice
-    cells per pair (the filled BFS disk), so this is for NEARBY cells:
-    ``max_k`` is a loud budget, not a soft cap (libh3 itself fails across
-    pentagon-adjacent base cells; we succeed there but charge the disk).
-    Pairs at different resolutions raise, matching libh3's error contract.
+    One vectorized BFS per unique source cell over :func:`cell_to_neighbors`
+    (no local-IJ tables needed, pentagon-safe by construction); every
+    destination of that source is resolved from the BFS levels. Frontier
+    and visited set are sorted uint64 arrays (``np.unique`` /
+    ``np.isin``). Cost is O(d^2) lattice cells per source (the filled BFS
+    disk), so this is for NEARBY cells: ``max_k`` is a loud budget, not a
+    soft cap (libh3 itself fails across pentagon-adjacent base cells; we
+    succeed there but charge the disk). A pair past ``max_k`` or without a
+    grid path raises, naming the first such pair in input order. Pairs at
+    different resolutions raise, matching libh3's error contract.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.uint64))
     b = np.atleast_1d(np.asarray(b, dtype=np.uint64))
@@ -982,31 +986,37 @@ def grid_distance(a, b, max_k: int = 256):
         raise ValueError("a and b must have the same shape")
     if (get_resolution(a) != get_resolution(b)).any():
         raise ValueError("grid_distance needs cells at the same resolution")
-    out = np.empty(len(a), dtype=np.int64)
-    for n in range(len(a)):
-        src, dst = int(a[n]), int(b[n])
-        if src == dst:
-            out[n] = 0
-            continue
-        seen = {src}
-        frontier = np.array([src], dtype=np.uint64)
+    out = np.zeros(len(a), dtype=np.int64)
+    pending = np.flatnonzero(a != b)
+    sources, which = np.unique(a[pending], return_inverse=True)
+    failed = []  # (first failing pair of a source, no-path?)
+    for k, src in enumerate(sources):
+        pairs = pending[which == k]  # input order
+        dst = b[pairs]
+        left = np.ones(len(pairs), dtype=bool)
+        seen = frontier = src[None]
         d = 0
-        while True:
+        while d < max_k:
             d += 1
-            if d > max_k:
-                raise ValueError(
-                    f"grid_distance exceeded max_k={max_k} between "
-                    f"{src:x} and {dst:x}; raise max_k if this is intended"
-                )
-            nb = cell_to_neighbors(frontier).ravel()
-            fresh = {int(x) for x in nb} - seen
-            if dst in fresh:
-                out[n] = d
+            nb = np.unique(cell_to_neighbors(frontier))
+            frontier = nb[~np.isin(nb, seen, assume_unique=True)]
+            hit = left & np.isin(dst, frontier)
+            out[pairs[hit]] = d
+            left &= ~hit
+            if not left.any() or not len(frontier):
                 break
-            if not fresh:
-                raise ValueError(f"no grid path between {src:x} and {dst:x}")
-            seen |= fresh
-            frontier = np.fromiter(fresh, dtype=np.uint64)
+            seen = np.union1d(seen, frontier)
+        if left.any():
+            failed.append((int(pairs[left][0]), d < max_k or not len(frontier)))
+    if failed:
+        n, no_path = min(failed)
+        src, dst = int(a[n]), int(b[n])
+        if no_path:
+            raise ValueError(f"no grid path between {src:x} and {dst:x}")
+        raise ValueError(
+            f"grid_distance exceeded max_k={max_k} between "
+            f"{src:x} and {dst:x}; raise max_k if this is intended"
+        )
     return out
 
 

@@ -2365,16 +2365,53 @@ def _chain_scan(px: list, py: list) -> list:
 
 def simplify(ga: GeometryArray, tolerance: float) -> GeometryArray:
     """Douglas-Peucker per ring, endpoints preserved, no new points
-    (`geoseries.rs:109-116`)."""
+    (`geoseries.rs:109-116`).
+
+    Level-synchronous: each round takes the open intervals (a, b) of every
+    ring at once, measures all their interior points against their chords
+    in one pass, and splits each interval whose maximum exceeds the
+    tolerance at its first maximal point (``np.argmax``'s tie-break). An
+    interval whose maximum is NaN never splits (``NaN > tol`` is false),
+    as ``np.argmax`` picks the first NaN. The distance is ``sqrt(x*x +
+    y*y)``, not ``np.hypot``: both are exact to the same ULP for
+    geographic magnitudes, and this op sequence is reproducible verbatim in
+    SQL (DuckDB has no hypot), which makes every comparison bit-identical
+    to the geo_simplify oracle's recursive-CTE replay. Rings of <= 2 coords
+    keep every coord.
+    """
+    x, y = ga.coords[:, 0], ga.coords[:, 1]
+    s, e = ga.ring_offsets[:-1], ga.ring_offsets[1:]
     keep = np.zeros(len(ga.coords), dtype=bool)
-    for r in range(ga.n_rings):
-        s, e = int(ga.ring_offsets[r]), int(ga.ring_offsets[r + 1])
-        if e - s <= 2:
-            keep[s:e] = True
-            continue
-        keep[s] = True
-        keep[e - 1] = True
-        _dp_mark(ga.coords, s, e - 1, tolerance, keep)
+    short = e - s <= 2
+    keep[_expand_ranges(s[short], e[short])] = True
+    a, b = s[~short], e[~short] - 1
+    keep[a] = True
+    keep[b] = True
+    while len(a):
+        lens = b - a - 1
+        first = np.zeros(len(a), dtype=np.int64)
+        np.cumsum(lens[:-1], out=first[1:])
+        iv = np.repeat(np.arange(len(a)), lens)
+        idx = np.arange(len(iv)) - first[iv] + a[iv] + 1
+        ax, ay = x[a], y[a]
+        sx, sy = x[b] - ax, y[b] - ay
+        seg_len = np.sqrt(sx * sx + sy * sy)
+        px, py = x[idx] - ax[iv], y[idx] - ay[iv]
+        zero = (seg_len == 0)[iv]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d = np.where(zero, np.sqrt(px * px + py * py),
+                         np.abs(px * sy[iv] - py * sx[iv]) / seg_len[iv])
+        dmax = np.maximum.reduceat(d, first)
+        split = dmax > tolerance
+        if not split.any():
+            break
+        # the first maximal point of each splitting interval
+        hit = np.flatnonzero((d == dmax[iv]) & split[iv])
+        m = idx[hit[np.r_[True, iv[hit][1:] != iv[hit][:-1]]]]
+        keep[m] = True
+        a, b = np.concatenate([a[split], m]), np.concatenate([m, b[split]])
+        wide = b - a >= 2
+        a, b = a[wide], b[wide]
     # rebuild offsets with only kept coords
     kept_per_ring = _range_sums(keep.astype(np.float64), ga.ring_offsets[:-1], ga.ring_offsets[1:]).astype(np.int64)
     new_ring_off = np.zeros(ga.n_rings + 1, dtype=np.int64)
@@ -2386,33 +2423,6 @@ def simplify(ga: GeometryArray, tolerance: float) -> GeometryArray:
         ring_offsets=new_ring_off,
         coords=ga.coords[keep],
     )
-
-
-def _dp_mark(coords: np.ndarray, i0: int, i1: int, tol: float, keep: np.ndarray) -> None:
-    """Iterative Douglas-Peucker: mark kept indices in [i0, i1]."""
-    stack = [(i0, i1)]
-    while stack:
-        a, b = stack.pop()
-        if b - a < 2:
-            continue
-        seg = coords[b] - coords[a]
-        pts = coords[a + 1 : b] - coords[a]
-        # sqrt(x*x + y*y) rather than np.hypot: both are exact to the same
-        # ULP for geographic magnitudes (no overflow risk) and this op
-        # sequence is reproducible verbatim in SQL (DuckDB has no hypot),
-        # which makes every DP distance comparison bit-identical to the
-        # geo_simplify oracle's recursive-CTE replay.
-        seg_len = np.sqrt(seg[0] * seg[0] + seg[1] * seg[1])
-        if seg_len == 0:
-            d = np.sqrt(pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1])
-        else:
-            d = np.abs(pts[:, 0] * seg[1] - pts[:, 1] * seg[0]) / seg_len
-        j = int(np.argmax(d))
-        if d[j] > tol:
-            m = a + 1 + j
-            keep[m] = True
-            stack.append((a, m))
-            stack.append((m, b))
 
 
 # --------------------------------------------------------------------------

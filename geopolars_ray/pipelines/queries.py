@@ -688,9 +688,9 @@ def q_geo_simplify(sf_dir: str):
     whose max perpendicular distance exceeds the tolerance, finds the
     argmax point via a LATERAL ORDER BY d DESC, idx ASC LIMIT 1 (numpy
     argmax first-max tie-break), and emits the two sub-intervals. Every
-    distance comparison is bit-identical because `_dp_mark` deliberately
-    uses sqrt(x*x + y*y) (not np.hypot), the same IEEE op sequence SQL
-    computes. `kept_x4` pins the retained SET, not just its size: x lies
+    distance comparison is bit-identical because `kernels.simplify`
+    deliberately uses sqrt(x*x + y*y) (not np.hypot), the same IEEE op
+    sequence SQL computes. `kept_x4` pins the retained SET, not just its size: x lies
     on a 0.25-degree lattice so x*4 is an exact small integer and the
     float sum is exact in ANY accumulation order.
 
@@ -1758,7 +1758,7 @@ def _simplify_oracle_sql(tol: float = 20.0) -> str:
     cross-join), each child computing its own argmax. Retained set = both
     endpoints + every split point; `kept_x4` sums their x*4 (exact integer
     lattice — see q_geo_simplify). The distance expression mirrors
-    `kernels._dp_mark` operation-for-operation.
+    `kernels.simplify` operation-for-operation.
     """
     dist = (
         "CASE WHEN sqrt(({bx}-{ax})*({bx}-{ax}) + ({by}-{ay})*({by}-{ay})) = 0"

@@ -84,6 +84,8 @@ class TDigest:
         return (delta / (2 * np.pi)) * np.arcsin(2 * np.clip(q, 0.0, 1.0) - 1)
 
     def _compress(self) -> None:
+        if len(self.means) == 0:
+            return
         order = np.argsort(self.means, kind="stable")
         m, w = self.means[order], self.weights[order]
         total = w.sum()
@@ -166,6 +168,8 @@ def _digest_table(digest: TDigest) -> pa.Table:
 
 def _merge_digest_batch(batch: pa.Table, delta: int) -> TDigest:
     d = TDigest(delta)
+    if batch.num_rows == 0:  # an empty input collects to a table with no digest columns
+        return d
     means = batch["means"].to_pylist()
     weights = batch["weights"].to_pylist()
     vmin = batch["vmin"].to_numpy(zero_copy_only=False)

@@ -42,6 +42,56 @@ def test_grid_distance_pentagon_neighborhood():
     assert np.bincount(d).tolist() == [1, 5, 10]
 
 
+def grid_distance_pairs(a, b, max_k: int = 256):
+    """The per-pair BFS oracle: one breadth-first search per (a, b) pair,
+    visited cells in a Python set."""
+    out = np.empty(len(a), dtype=np.int64)
+    for n in range(len(a)):
+        src, dst = int(a[n]), int(b[n])
+        if src == dst:
+            out[n] = 0
+            continue
+        seen = {src}
+        frontier = np.array([src], dtype=np.uint64)
+        d = 0
+        while True:
+            d += 1
+            if d > max_k:
+                raise ValueError(f"grid_distance exceeded max_k={max_k} between {src:x} and {dst:x}; "
+                                 "raise max_k if this is intended")
+            fresh = {int(x) for x in h3.cell_to_neighbors(frontier).ravel()} - seen
+            if dst in fresh:
+                out[n] = d
+                break
+            if not fresh:
+                raise ValueError(f"no grid path between {src:x} and {dst:x}")
+            seen |= fresh
+            frontier = np.fromiter(fresh, dtype=np.uint64)
+    return out
+
+
+@pytest.mark.parametrize("pentagon", [False, True])
+def test_grid_distance_equals_per_pair_bfs(pentagon):
+    """All pairs of a k=2 disk around a hexagon and a pentagon, shuffled so
+    sources repeat out of order, and the max_k error names the same pair."""
+    if pentagon:
+        c = h3.cell_to_children(_res0()[h3.is_pentagon(_res0())][:1], 3)
+        c = c[h3.is_pentagon(c)]
+    else:
+        c = h3.latlng_to_cell(np.array([37.7749]), np.array([-122.4194]), 7)
+    disk = h3.grid_disk(c, 2)
+    rng = np.random.default_rng(11)
+    a, b = np.meshgrid(disk, disk)
+    order = rng.permutation(a.size)
+    a, b = a.ravel()[order], b.ravel()[order]
+    np.testing.assert_array_equal(h3.grid_distance(a, b), grid_distance_pairs(a, b))
+    with pytest.raises(ValueError) as want:
+        grid_distance_pairs(a, b, max_k=2)
+    with pytest.raises(ValueError) as got:
+        h3.grid_distance(a, b, max_k=2)
+    assert str(got.value) == str(want.value)
+
+
 def test_grid_distance_errors():
     a = h3.latlng_to_cell(np.array([10.0]), np.array([10.0]), 7)
     b = h3.latlng_to_cell(np.array([10.0]), np.array([10.0]), 8)

@@ -86,3 +86,10 @@ def test_grouped_quantile_nan_and_multikey(ray_session):
     out = grouped_quantile(ds, ["a", "b"], "v", [0.5], num_partitions=4).take_all()
     got = {(r["a"], r["b"]): r["v_q0_5"] for r in out}
     assert got == {(1, "x"): 1.0, (1, "y"): 3.0, (2, "y"): 6.0}
+
+
+def test_quantile_sketch_of_empty_dataset_is_nan(ray_session):
+    """No value: NaN per q, as DuckDB's approx_quantile returns NULL."""
+    ds = ray.data.from_arrow(pa.table({"a": pa.array([], pa.int64())}))
+    got = quantile_sketch(ds, "a", [0.1, 0.5])
+    assert got.shape == (2,) and np.isnan(got).all()
