@@ -22,7 +22,9 @@ import pyarrow as pa
 
 import ray
 
-from geopolars_ray.stages.geo import geo_op, geo_bounds, geo_explode, geo_distance, points_from_xy, GEOMETRY
+from geopolars_ray.stages.geo import (
+    GEOMETRY, geo_binary_op, geo_bounds, geo_explode, geo_op, geo_subdivide, points_from_xy,
+)
 
 
 class GeoDataset:
@@ -207,13 +209,14 @@ class GeoDataset:
     def _wrap(self, ds, crs: str | None = None) -> "GeoDataset":
         return GeoDataset(ds, self.geometry_col, crs=crs if crs is not None else self.crs)
 
+    def _map(self, stage) -> "GeoDataset":
+        return self._wrap(self._ds.map_batches(stage, batch_format="pyarrow"))
+
     def _apply(self, name: str, out_col: str | None = None, **kw) -> "GeoDataset":
-        return self._wrap(
-            self._ds.map_batches(
-                geo_op(name, geometry_col=self.geometry_col, out_col=out_col, **kw),
-                batch_format="pyarrow",
-            )
-        )
+        return self._map(geo_op(name, geometry_col=self.geometry_col, out_col=out_col, **kw))
+
+    def _apply_binary(self, name: str, other_col: str, out_col=None, **kw) -> "GeoDataset":
+        return self._map(geo_binary_op(name, self.geometry_col, other_col, out_col, **kw))
 
     def __getattr__(self, item: str) -> Any:
         # delegate everything else (count, take, to_pandas, write_parquet,
@@ -273,7 +276,7 @@ class GeoDataset:
         return self._apply("y", out_col)
 
     def bounds(self) -> "GeoDataset":
-        return self._wrap(self._ds.map_batches(geo_bounds(self.geometry_col), batch_format="pyarrow"))
+        return self._map(geo_bounds(self.geometry_col))
 
     def total_bounds(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the WHOLE dataset (GeoPandas
@@ -523,21 +526,15 @@ class GeoDataset:
         pays a decode+encode round-trip per stage."""
         from geopolars_ray.stages.geo import geo_ops
 
-        return self._wrap(
-            self._ds.map_batches(geo_ops(steps, self.geometry_col), batch_format="pyarrow")
-        )
+        return self._map(geo_ops(steps, self.geometry_col))
 
     def explode(self) -> "GeoDataset":
-        return self._wrap(self._ds.map_batches(geo_explode(self.geometry_col), batch_format="pyarrow"))
+        return self._map(geo_explode(self.geometry_col))
 
     def subdivide(self, max_vertices: int = 256) -> "GeoDataset":
         """ST_Subdivide: split oversized geometries into <= max_vertices
         pieces, one row per piece (explode semantics for other columns)."""
-        from geopolars_ray.stages.geo import geo_subdivide
-
-        return self._wrap(
-            self._ds.map_batches(geo_subdivide(max_vertices, self.geometry_col), batch_format="pyarrow")
-        )
+        return self._map(geo_subdivide(max_vertices, self.geometry_col))
 
     def collect(self, by, count_col: str = "n_parts", num_partitions: int = 32) -> "GeoDataset":
         """Grouped ST_Collect (inverse of explode): one MULTI geometry per key.
@@ -553,22 +550,14 @@ class GeoDataset:
         )
 
     def distance(self, other_col: str, out_col: str = "distance") -> "GeoDataset":
-        return self._wrap(
-            self._ds.map_batches(
-                geo_distance(self.geometry_col, other_col, out_col), batch_format="pyarrow"
-            )
-        )
+        return self._apply_binary("distance", other_col, out_col)
 
     def azimuth(self, other_col: str, out_col: str = "azimuth",
                 geodesic: bool = False) -> "GeoDataset":
         """ST_Azimuth: bearing to an aligned point column, radians
         clockwise from north in [0, 2π); ``geodesic=True`` = WGS84
         Vincenty forward azimuth over lon/lat degrees."""
-        from geopolars_ray.stages.geo import geo_azimuth
-
-        return self._wrap(self._ds.map_batches(
-            geo_azimuth(self.geometry_col, other_col, out_col, geodesic),
-            batch_format="pyarrow"))
+        return self._apply_binary("geodesic_azimuth" if geodesic else "azimuth", other_col, out_col)
 
     def geodesic_project(self, distance_m, azimuth_rad) -> "GeoDataset":
         """ST_Project: geodesic destination point at ``distance_m``
@@ -587,73 +576,47 @@ class GeoDataset:
         """Row-wise DE-9IM matrix string vs an aligned geometry column
         (ST_Relate / shapely ``relate``); with ``pattern`` given, a
         boolean pattern-match column instead (`geom/relate.py`)."""
-        from geopolars_ray.stages.geo import geo_relate
-
-        return self._wrap(self._ds.map_batches(
-            geo_relate(self.geometry_col, other_col, out_col, pattern),
-            batch_format="pyarrow"))
-
-    def _predicate(self, name: str, other_col: str, out_col: str | None) -> "GeoDataset":
-        from geopolars_ray.stages.geo import geo_predicate
-
-        return self._wrap(self._ds.map_batches(
-            geo_predicate(name, self.geometry_col, other_col, out_col),
-            batch_format="pyarrow"))
+        return self._apply_binary("relate", other_col, out_col, pattern=pattern)
 
     def intersects(self, other_col: str, out_col: str | None = None) -> "GeoDataset":
         """Row-wise ST_Intersects vs an aligned geometry column — like
         every predicate below, derived from the true DE-9IM matrix so
         the family is mutually consistent (`geom/relate.py`)."""
-        return self._predicate("intersects", other_col, out_col)
+        return self._apply_binary("intersects", other_col, out_col)
 
     def disjoint(self, other_col: str, out_col: str | None = None) -> "GeoDataset":
-        return self._predicate("disjoint", other_col, out_col)
+        return self._apply_binary("disjoint", other_col, out_col)
 
     def within(self, other_col: str, out_col: str | None = None) -> "GeoDataset":
-        return self._predicate("within", other_col, out_col)
+        return self._apply_binary("within", other_col, out_col)
 
     def contains(self, other_col: str, out_col: str | None = None) -> "GeoDataset":
-        return self._predicate("contains", other_col, out_col)
+        return self._apply_binary("contains", other_col, out_col)
 
     def touches(self, other_col: str, out_col: str | None = None) -> "GeoDataset":
-        return self._predicate("touches", other_col, out_col)
+        return self._apply_binary("touches", other_col, out_col)
 
     def crosses(self, other_col: str, out_col: str | None = None) -> "GeoDataset":
-        return self._predicate("crosses", other_col, out_col)
+        return self._apply_binary("crosses", other_col, out_col)
 
     def overlaps(self, other_col: str, out_col: str | None = None) -> "GeoDataset":
-        return self._predicate("overlaps", other_col, out_col)
+        return self._apply_binary("overlaps", other_col, out_col)
 
     def covers(self, other_col: str, out_col: str | None = None) -> "GeoDataset":
-        return self._predicate("covers", other_col, out_col)
+        return self._apply_binary("covers", other_col, out_col)
 
     def covered_by(self, other_col: str, out_col: str | None = None) -> "GeoDataset":
-        return self._predicate("covered_by", other_col, out_col)
+        return self._apply_binary("covered_by", other_col, out_col)
 
     def geom_equals(self, other_col: str, out_col: str = "equals") -> "GeoDataset":
         """Topological equality (ST_Equals; vertex order/start free)."""
-        return self._predicate("equals", other_col, out_col)
+        return self._apply_binary("equals", other_col, out_col)
 
     def dwithin(self, other_col: str, distance: float,
                 out_col: str = "dwithin") -> "GeoDataset":
         """ST_DWithin: geometry distance <= ``distance`` (the vectorized
         distance kernel + a threshold, not the DE-9IM path)."""
-        import pyarrow.compute as pc
-
-        from geopolars_ray.stages.geo import geo_distance as _gd
-
-        tmp = "__dwithin_dist"
-        fn = _gd(self.geometry_col, other_col, tmp)
-
-        def pred(batch: pa.Table) -> pa.Table:
-            b = fn(batch)
-            res = pc.less_equal(b[tmp], pa.scalar(float(distance)))
-            b = b.drop_columns([tmp])
-            if out_col in b.column_names:
-                b = b.drop_columns([out_col])
-            return b.append_column(out_col, res)
-
-        return self._wrap(self._ds.map_batches(pred, batch_format="pyarrow"))
+        return self._apply_binary("dwithin", other_col, out_col, distance=distance)
 
     def representative_point(self) -> "GeoDataset":
         """A point guaranteed ON/IN each geometry (GeoPandas parity)."""
@@ -714,37 +677,19 @@ class GeoDataset:
     def shortest_line(self, other_col: str, out_col: str = "shortest_line") -> "GeoDataset":
         """Shortest connecting LineString vs an aligned geometry column
         (shapely ``shortest_line``), appended as a WKB column."""
-        from geopolars_ray.stages.geo import geo_shortest_line
-
-        return self._wrap(
-            self._ds.map_batches(
-                geo_shortest_line(self.geometry_col, other_col, out_col), batch_format="pyarrow"
-            )
-        )
+        return self._apply_binary("shortest_line", other_col, out_col)
 
     def hausdorff_distance(self, other_col: str, out_col: str = "hausdorff") -> "GeoDataset":
         """Row-wise discrete Hausdorff distance vs an aligned geometry
         column (GEOS DiscreteHausdorffDistance semantics)."""
-        from geopolars_ray.stages.geo import geo_hausdorff
-
-        return self._wrap(
-            self._ds.map_batches(
-                geo_hausdorff(self.geometry_col, other_col, out_col), batch_format="pyarrow"
-            )
-        )
+        return self._apply_binary("hausdorff_distance", other_col, out_col)
 
     def snap(self, other_col: str, tolerance: float) -> "GeoDataset":
         """ST_Snap / shapely ``snap``: snap this geometry column's
         vertices to the aligned ``other_col`` geometry within
         ``tolerance``, inserting its vertices into segments they lie
         near (GEOS LineStringSnapper semantics; idempotent)."""
-        from geopolars_ray.stages.geo import geo_snap
-
-        return self._wrap(
-            self._ds.map_batches(
-                geo_snap(self.geometry_col, other_col, tolerance), batch_format="pyarrow"
-            )
-        )
+        return self._apply_binary("snap", other_col, tolerance=tolerance)
 
     def split(self, blade_col: str) -> "GeoDataset":
         """ST_Split / shapely ``split``: cut each row by the aligned
@@ -753,13 +698,7 @@ class GeoDataset:
         are selected by a guaranteed-interior triangulation probe).
         Parts come back as a MULTI geometry (this engine rejects
         GeometryCollections, reference parity)."""
-        from geopolars_ray.stages.geo import geo_split
-
-        return self._wrap(
-            self._ds.map_batches(
-                geo_split(self.geometry_col, blade_col), batch_format="pyarrow"
-            )
-        )
+        return self._apply_binary("split", blade_col)
 
     def shared_paths(self, other_col: str, same_col: str = "shared_same",
                      opp_col: str = "shared_opposite") -> "GeoDataset":
@@ -767,26 +706,13 @@ class GeoDataset:
         appended as two MultiLineString columns, split by traversal
         direction (GEOS returns a GeometryCollection of the two; this
         engine rejects collections, so they come back as columns)."""
-        from geopolars_ray.stages.geo import geo_shared_paths
-
-        return self._wrap(
-            self._ds.map_batches(
-                geo_shared_paths(self.geometry_col, other_col, same_col, opp_col),
-                batch_format="pyarrow"
-            )
-        )
+        return self._apply_binary("shared_paths", other_col, (same_col, opp_col))
 
     def frechet_distance(self, other_col: str, out_col: str = "frechet") -> "GeoDataset":
         """Row-wise discrete Fréchet distance vs an aligned LINE column
         (shapely/GEOS semantics: coupling over the vertex sequences —
         ``segmentize`` first for the continuous approximation)."""
-        from geopolars_ray.stages.geo import geo_frechet
-
-        return self._wrap(
-            self._ds.map_batches(
-                geo_frechet(self.geometry_col, other_col, out_col), batch_format="pyarrow"
-            )
-        )
+        return self._apply_binary("frechet_distance", other_col, out_col)
 
     def overlay(self, other_col: str, how: str = "intersection") -> "GeoDataset":
         """Row-wise polygon boolean overlay vs an aligned geometry column
@@ -796,13 +722,7 @@ class GeoDataset:
         POLYGONAL rows only (non-polygonal rows raise TypeError); any
         polygonal shape: concave, holes, multi-part, even-odd fill —
         `geom/overlay.py` (beyond-reference: GeoPolars has no overlay)."""
-        from geopolars_ray.stages.geo import geo_overlay
-
-        return self._wrap(
-            self._ds.map_batches(
-                geo_overlay(self.geometry_col, other_col, how), batch_format="pyarrow"
-            )
-        )
+        return self._apply_binary("overlay", other_col, operation=how)
 
     def intersection(self, other_col: str) -> "GeoDataset":
         """Row-wise A ∩ B vs an aligned geometry column. POLYGONAL
@@ -960,14 +880,7 @@ class GeoDataset:
     def project(self, point_col: str, out_col: str = "measure", normalized: bool = False) -> "GeoDataset":
         """Arc-length position of the nearest point on each line to the
         aligned Point column (shapely ``project``)."""
-        from geopolars_ray.stages.geo import geo_project
-
-        return self._wrap(
-            self._ds.map_batches(
-                geo_project(self.geometry_col, point_col, out_col, normalized),
-                batch_format="pyarrow",
-            )
-        )
+        return self._apply_binary("project", point_col, out_col, normalized=normalized)
 
     # ------------------------------------------------------------- relational
 
@@ -975,11 +888,8 @@ class GeoDataset:
                      hex_size_deg=None, h3_res=None) -> "GeoDataset":
         from geopolars_ray.stages.extract import assign_tiles
 
-        return self._wrap(
-            self._ds.map_batches(
-                assign_tiles(lon_col, lat_col, s2_level, grid_cell_deg, hex_size_deg, h3_res),
-                batch_format="pyarrow",
-            )
+        return self._map(
+            assign_tiles(lon_col, lat_col, s2_level, grid_cell_deg, hex_size_deg, h3_res)
         )
 
     def sjoin(

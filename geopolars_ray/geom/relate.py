@@ -180,6 +180,14 @@ def _mid(pq):
     return ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
 
 
+def _drift_tol(scale):
+    """Snap band of coordinates of magnitude ``scale`` (a float or an
+    array): node_segments runs up to 8 snap/split rounds, each of which can
+    move a representative by one tolerance step, so the band bounds the
+    cumulative drift with slack (16x) rather than one round's worth."""
+    return (16.0 * _SNAP_RTOL) * np.maximum(scale, 1.0)
+
+
 def _snap_tol(items: list[list[tuple]]) -> float:
     scale = 1.0
     for path in items:
@@ -187,10 +195,7 @@ def _snap_tol(items: list[list[tuple]]) -> float:
             m = abs(x) if abs(x) > abs(y) else abs(y)
             if m > scale:
                 scale = m
-    # node_segments runs up to 8 snap/split rounds, each of which can move
-    # a representative by one tolerance step — bound the cumulative drift
-    # with slack (16x) rather than one round's worth
-    return 16.0 * _SNAP_RTOL * scale
+    return float(_drift_tol(scale))
 
 
 def _canon_set(pts: set, vertices: set, tol: float) -> set:
@@ -456,7 +461,7 @@ def _borderline(crit: np.ndarray, scale: np.ndarray) -> np.ndarray:
     within the arrangement's snap band — such rows must take the SWEEP,
     whose snap-rounding merges sub-tolerance gaps (the fast path is
     exact arithmetic and would disagree)."""
-    tol = (16.0 * _SNAP_RTOL) * np.maximum(scale, 1.0)
+    tol = _drift_tol(scale)
     a = np.abs(crit)
     return ((a > 0.0) & (a <= tol[:, None])).any(axis=1)
 
@@ -871,7 +876,7 @@ def _matrix_table(ga: GeometryArray, gb: GeometryArray, vertex_budget=None):
         A, B = boxes_a, boxes_b
         with np.errstate(invalid="ignore"):
             scale = np.maximum(np.abs(A).max(axis=1), np.abs(B).max(axis=1))
-            tol = (16.0 * _SNAP_RTOL) * np.maximum(scale, 1.0)
+            tol = _drift_tol(scale)
             gap = np.maximum(
                 np.maximum(B[:, 0] - A[:, 2], A[:, 0] - B[:, 2]),
                 np.maximum(B[:, 1] - A[:, 3], A[:, 1] - B[:, 3]))
@@ -892,7 +897,7 @@ def _matrix_table(ga: GeometryArray, gb: GeometryArray, vertex_budget=None):
             idx = np.flatnonzero(poly)
             scale = np.maximum(np.abs(boxes_a[idx]).max(axis=1),
                                np.abs(boxes_b[idx]).max(axis=1))
-            tol = (16.0 * _SNAP_RTOL) * np.maximum(scale, 1.0)
+            tol = _drift_tol(scale)
             rows_d, mats = _poly_pair_classify(ga, gb, idx, tol, boxes_a, boxes_b)
             if len(rows_d):
                 mask = np.zeros(n, dtype=bool)
@@ -925,7 +930,7 @@ def _matrix_table(ga: GeometryArray, gb: GeometryArray, vertex_budget=None):
             pb_box = (boxes_b if not flip else boxes_a)[idx]
             scale = np.maximum(np.maximum(np.abs(px_[idx]), np.abs(py_[idx])),
                                np.abs(pb_box).max(axis=1))
-            tol = (16.0 * _SNAP_RTOL) * np.maximum(scale, 1.0)
+            tol = _drift_tol(scale)
             safe = d2 > tol * tol
             if not safe.any():
                 continue

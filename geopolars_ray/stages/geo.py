@@ -1,4 +1,4 @@
-"""GeoSeries ops as Ray Data batch transforms + the kernel registry.
+"""GeoSeries ops as Ray Data batch transforms + the kernel registries.
 
 The reference registers each op as a pyfunction and wraps it per-Series
 (``/root/reference/py-geopolars/src/api.rs:16-33``); here each op is a
@@ -7,14 +7,22 @@ stateless Arrow-batch transform usable as
 FFI chain of the reference (SURVEY.md §3.2) collapses into one vectorized
 call per batch. New ops plug in by registering a kernel (SURVEY.md §2.8).
 
-Conventions: geometry columns are Arrow (large_)binary WKB named
-``geometry`` by default (`geodataframe.py:12-16` uses the same default);
-scalar results are appended as a named column; geometry results replace the
-geometry column.
+Two registries, one factory each: ``KERNELS`` / ``geo_op`` for one-column
+ops and ``BINARY_KERNELS`` / ``geo_binary_op`` for row-aligned two-column
+ops (``geo_binary_op("distance", "geometry", "other")``). Every stage is
+named ``geo_<op>``.
+
+Conventions: geometry columns are Arrow (large_)binary WKB or GeoArrow,
+named ``geometry`` by default (`geodataframe.py:12-16` uses the same
+default); scalar results are appended as a named column, replacing any
+column of that name; geometry results replace the geometry column in its
+own encoding (mixed-type results fall back to WKB), or are appended as WKB
+columns when the op names an output column.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -132,6 +140,13 @@ def _set_geometry(batch: pa.Table, geometry_col: str, ga: GeometryArray, encodin
         except ValueError:
             pass  # mixed-type result -> WKB fallback
     return batch.set_column(idx, geometry_col, encode_wkb(ga))
+
+
+def _put_column(batch: pa.Table, name: str, arr) -> pa.Table:
+    """Append ``arr`` as ``name``, replacing any column of that name."""
+    if name in batch.column_names:
+        batch = batch.drop_columns([name])
+    return batch.append_column(name, arr)
 
 
 def to_geoarrow(geometry_col: str = GEOMETRY) -> Callable[[pa.Table], pa.Table]:
@@ -329,10 +344,7 @@ def geo_op(
         ga, enc = decode_geometry(batch, geometry_col)
         res = kernel(ga, **kwargs)
         if kind == "scalar":
-            arr = pa.array(np.asarray(res))
-            if out_name in batch.column_names:
-                batch = batch.drop_columns([out_name])
-            return batch.append_column(out_name, arr)
+            return _put_column(batch, out_name, pa.array(np.asarray(res)))
         return _set_geometry(batch, geometry_col, res, enc)
 
     fn.__name__ = f"geo_{name}"
@@ -375,9 +387,7 @@ def geo_ops(
                 ga = res
                 geom_dirty = True
             else:
-                if out_col in batch.column_names:
-                    batch = batch.drop_columns([out_col])
-                batch = batch.append_column(out_col, pa.array(np.asarray(res)))
+                batch = _put_column(batch, out_col, pa.array(np.asarray(res)))
         if geom_dirty:
             batch = _set_geometry(batch, geometry_col, ga, enc)
         return batch
@@ -386,30 +396,142 @@ def geo_ops(
     return fn
 
 
+# The arrangement-based kernels import on first use, like the one-column
+# wrappers above, so a worker running only cheap ops never loads them.
+def _relate(lga: GeometryArray, rga: GeometryArray, pattern: str | None = None):
+    from geopolars_ray.geom import relate as relate_mod
+
+    if pattern is not None:
+        return relate_mod.relate_pattern(lga, rga, pattern)
+    return pa.array(relate_mod.relate(lga, rga), pa.string())
+
+
+def _predicate(lga: GeometryArray, rga: GeometryArray, name: str):
+    from geopolars_ray.geom.relate import predicate
+
+    return predicate(lga, rga, name)
+
+
+def _split(lga: GeometryArray, rga: GeometryArray) -> GeometryArray:
+    from geopolars_ray.geom.split import split_arrays
+
+    return split_arrays(lga, rga)
+
+
+def _shared_paths(lga: GeometryArray, rga: GeometryArray) -> tuple:
+    from geopolars_ray.geom.polygonize import shared_paths_arrays
+
+    return shared_paths_arrays(lga, rga)
+
+
+def _overlay(lga: GeometryArray, rga: GeometryArray, operation: str) -> GeometryArray:
+    from geopolars_ray.geom.overlay import overlay_arrays
+
+    return overlay_arrays(lga, rga, operation)
+
+
+# name -> (kernel(left, right, **kw), result kind, default output): the
+# row-aligned two-column ops. A default output of None makes a geometry
+# result replace the left column; a name (or a pair of names for a pair of
+# results) appends WKB columns.
+BINARY_KERNELS: dict[str, tuple[Callable[..., Any], str, Any]] = {
+    "distance": (K.distance, "scalar", "distance"),
+    # ST_DWithin: the distance kernel plus a threshold, not the DE-9IM path
+    "dwithin": (lambda lga, rga, distance: K.distance(lga, rga) <= float(distance),
+                "scalar", "dwithin"),
+    # ST_Azimuth: radians clockwise from north, NaN for coincident points
+    "azimuth": (K.azimuth, "scalar", "azimuth"),
+    "geodesic_azimuth": (K.geodesic_azimuth, "scalar", "azimuth"),
+    # DE-9IM (geom/relate.py): the 9-char matrix, or a bool column when a
+    # ``pattern`` is given
+    "relate": (_relate, "scalar", "relate"),
+    # the predicate family, each derived from the DE-9IM matrix
+    **{p: (partial(_predicate, name=p), "scalar", p) for p in (
+        "intersects", "disjoint", "within", "contains", "covers",
+        "covered_by", "equals", "touches", "crosses", "overlaps")},
+    "hausdorff_distance": (K.hausdorff_distance, "scalar", "hausdorff"),
+    "frechet_distance": (K.frechet_distance, "scalar", "frechet"),
+    # shapely ``project``: arc-length position of the nearest point on the
+    # left line to the right point
+    "project": (K.line_locate_point, "scalar", "measure"),
+    "shortest_line": (K.shortest_line, "geometry", "shortest_line"),
+    "snap": (K.snap_geoms, "geometry", None),
+    "split": (_split, "geometry", None),
+    # polygon boolean overlay (geom/overlay.py); ``operation`` is one of
+    # intersection / union / difference / symmetric_difference
+    "overlay": (_overlay, "geometry", None),
+    # ST_SharedPaths: same- and opposite-direction MultiLineStrings as two
+    # columns (this engine rejects the GeometryCollection GEOS returns)
+    "shared_paths": (_shared_paths, "geometry", ("shared_same", "shared_opposite")),
+}
+
+
+def geo_binary_op(
+    name: str,
+    left_col: str,
+    right_col: str,
+    out_col: str | tuple[str, ...] | None = None,
+    **kwargs: Any,
+) -> Callable[[pa.Table], pa.Table]:
+    """Build a map_batches function applying one two-column registry kernel
+    to row-aligned geometry columns of either encoding.
+
+    ``out_col`` defaults to the registry's output. A scalar result replaces
+    any column of that name; a geometry result replaces ``left_col`` in its
+    own encoding when the output is None, else it is appended as WKB.
+    """
+    kernel, kind, default_out = BINARY_KERNELS[name]
+    out = out_col if out_col is not None else default_out
+
+    def fn(batch: pa.Table) -> pa.Table:
+        lga, enc = decode_geometry(batch, left_col)
+        rga, _ = decode_geometry(batch, right_col)
+        res = kernel(lga, rga, **kwargs)
+        if kind == "scalar":
+            arr = res if isinstance(res, pa.Array) else pa.array(np.asarray(res))
+            return _put_column(batch, out, arr)
+        if out is None:
+            return _set_geometry(batch, left_col, res, enc)
+        names, results = ((out,), (res,)) if isinstance(out, str) else (out, res)
+        for nm, ga in zip(names, results):
+            batch = _put_column(batch, nm, encode_wkb(ga))
+        return batch
+
+    fn.__name__ = f"geo_{name}"
+    return fn
+
+
 def geo_bounds(geometry_col: str = GEOMETRY) -> Callable[[pa.Table], pa.Table]:
-    """Append xmin/ymin/xmax/ymax columns."""
+    """Append (or replace) xmin/ymin/xmax/ymax columns."""
 
     def fn(batch: pa.Table) -> pa.Table:
         ga, _ = decode_geometry(batch, geometry_col)
-        xmin, ymin, xmax, ymax = K.bounds(ga)
-        for nm, v in (("xmin", xmin), ("ymin", ymin), ("xmax", xmax), ("ymax", ymax)):
-            batch = batch.append_column(nm, pa.array(v))
+        for nm, v in zip(("xmin", "ymin", "xmax", "ymax"), K.bounds(ga)):
+            batch = _put_column(batch, nm, pa.array(v))
         return batch
 
+    fn.__name__ = "geo_bounds"
+    return fn
+
+
+def _row_expanding(name: str, kernel: Callable[[GeometryArray], tuple],
+                   geometry_col: str) -> Callable[[pa.Table], pa.Table]:
+    """Stage for a kernel returning (pieces, parent row per piece): the
+    other columns replicate per piece, the geometry keeps its encoding."""
+
+    def fn(batch: pa.Table) -> pa.Table:
+        ga, enc = decode_geometry(batch, geometry_col)
+        out, parent = kernel(ga)
+        return _set_geometry(batch.take(pa.array(parent)), geometry_col, out, enc)
+
+    fn.__name__ = f"geo_{name}"
     return fn
 
 
 def geo_explode(geometry_col: str = GEOMETRY) -> Callable[[pa.Table], pa.Table]:
     """Explode multi-part rows; other columns replicate per part
     (`geoseries.rs:49-50`; Ray mapping per SURVEY.md §2.2 explode)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        ga, enc = decode_geometry(batch, geometry_col)
-        out, parent = K.explode(ga)
-        taken = batch.take(pa.array(parent))
-        return _set_geometry(taken, geometry_col, out, enc)
-
-    return fn
+    return _row_expanding("explode", K.explode, geometry_col)
 
 
 def geo_subdivide(max_vertices: int = 256, geometry_col: str = GEOMETRY) -> Callable[[pa.Table], pa.Table]:
@@ -425,13 +547,8 @@ def geo_subdivide(max_vertices: int = 256, geometry_col: str = GEOMETRY) -> Call
     but a real delta vs the unsplit polygon."""
     from geopolars_ray.geom.clip import subdivide
 
-    def fn(batch: pa.Table) -> pa.Table:
-        ga, enc = decode_geometry(batch, geometry_col)
-        out, parent = subdivide(ga, max_vertices=max_vertices)
-        taken = batch.take(pa.array(parent))
-        return _set_geometry(taken, geometry_col, out, enc)
-
-    return fn
+    return _row_expanding(
+        "subdivide", lambda ga: subdivide(ga, max_vertices=max_vertices), geometry_col)
 
 
 def collect_by(
@@ -497,238 +614,6 @@ def collect_by(
     return hash_partitioned_map(ds, keys, fn, num_partitions=num_partitions)
 
 
-def geo_distance(
-    left_col: str, right_col: str, out_col: str = "distance"
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise aligned distance between two geometry columns of one Dataset
-    (`geoseries.rs:141-146`; binary columnar kernel per SURVEY.md §2.2)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, _ = decode_geometry(batch, left_col)
-        rga, _ = decode_geometry(batch, right_col)
-        return batch.append_column(out_col, pa.array(K.distance(lga, rga)))
-
-    return fn
-
-
-def geo_azimuth(
-    left_col: str, right_col: str, out_col: str = "azimuth",
-    geodesic: bool = False,
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise bearing between two aligned POINT columns (ST_Azimuth:
-    radians clockwise from north, NaN for coincident points); geodesic=
-    True uses the WGS84 Vincenty forward azimuth over lon/lat degrees."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, _ = decode_geometry(batch, left_col)
-        rga, _ = decode_geometry(batch, right_col)
-        kern = K.geodesic_azimuth if geodesic else K.azimuth
-        if out_col in batch.column_names:
-            batch = batch.drop_columns([out_col])
-        return batch.append_column(out_col, pa.array(kern(lga, rga)))
-
-    return fn
-
-
-def geo_relate(
-    left_col: str, right_col: str, out_col: str = "relate",
-    pattern: str | None = None,
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise DE-9IM between two aligned geometry columns
-    (`geom/relate.py`): the 9-char matrix string, or a boolean
-    pattern-match column when ``pattern`` is given (ST_Relate both
-    forms)."""
-    from geopolars_ray.geom import relate as relate_mod
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, _ = decode_geometry(batch, left_col)
-        rga, _ = decode_geometry(batch, right_col)
-        if pattern is not None:
-            res = pa.array(relate_mod.relate_pattern(lga, rga, pattern))
-        else:
-            res = pa.array(relate_mod.relate(lga, rga), pa.string())
-        if out_col in batch.column_names:
-            batch = batch.drop_columns([out_col])
-        return batch.append_column(out_col, res)
-
-    return fn
-
-
-def geo_predicate(
-    name: str, left_col: str, right_col: str, out_col: str | None = None,
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise binary predicate column (intersects / within / contains /
-    touches / crosses / overlaps / disjoint / covers / covered_by /
-    equals), derived from the DE-9IM matrix (`geom/relate.py`)."""
-    from geopolars_ray.geom import relate as relate_mod
-
-    if name not in relate_mod.PREDICATES:
-        raise ValueError(f"unknown predicate {name!r}")
-    out_name = out_col or name
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, _ = decode_geometry(batch, left_col)
-        rga, _ = decode_geometry(batch, right_col)
-        res = pa.array(relate_mod.predicate(lga, rga, name))
-        if out_name in batch.column_names:
-            batch = batch.drop_columns([out_name])
-        return batch.append_column(out_name, res)
-
-    fn.__name__ = f"geo_{name}"
-    return fn
-
-
-def geo_shortest_line(
-    left_col: str, right_col: str, out_col: str = "shortest_line"
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise shortest connecting LineString between two aligned geometry
-    columns (`geom/kernels.py shortest_line`), appended as a WKB column."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, _ = decode_geometry(batch, left_col)
-        rga, _ = decode_geometry(batch, right_col)
-        if out_col in batch.column_names:
-            batch = batch.drop_columns([out_col])
-        return batch.append_column(out_col, encode_wkb(K.shortest_line(lga, rga)))
-
-    return fn
-
-
-def geo_hausdorff(
-    left_col: str, right_col: str, out_col: str = "hausdorff"
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise discrete Hausdorff distance between two aligned geometry
-    columns (`geom/kernels.py hausdorff_distance`)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, _ = decode_geometry(batch, left_col)
-        rga, _ = decode_geometry(batch, right_col)
-        if out_col in batch.column_names:
-            batch = batch.drop_columns([out_col])
-        return batch.append_column(out_col, pa.array(K.hausdorff_distance(lga, rga)))
-
-    return fn
-
-
-def geo_snap(
-    left_col: str, right_col: str, tolerance: float,
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise ST_Snap: snap the left geometry column to the aligned
-    right one within tolerance (`geom/kernels.py snap_geoms`)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, _ = decode_geometry(batch, left_col)
-        rga, _ = decode_geometry(batch, right_col)
-        idx = batch.column_names.index(left_col)
-        return batch.set_column(idx, left_col,
-                                encode_wkb(K.snap_geoms(lga, rga, tolerance)))
-
-    return fn
-
-
-def geo_split(
-    left_col: str, right_col: str,
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise ST_Split: split the left geometry column by the aligned
-    blade column (`geom/split.py split_arrays`)."""
-    from geopolars_ray.geom.split import split_arrays
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, _ = decode_geometry(batch, left_col)
-        rga, _ = decode_geometry(batch, right_col)
-        idx = batch.column_names.index(left_col)
-        return batch.set_column(idx, left_col,
-                                encode_wkb(split_arrays(lga, rga)))
-
-    return fn
-
-
-def geo_shared_paths(
-    left_col: str, right_col: str,
-    same_col: str = "shared_same", opp_col: str = "shared_opposite",
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise ST_SharedPaths: linework common to two aligned line
-    columns, appended as TWO MultiLineString columns (same-direction and
-    opposite-direction) — GEOS wraps them in a GeometryCollection,
-    which this engine deliberately rejects
-    (`geom/polygonize.py shared_paths_arrays`)."""
-    from geopolars_ray.geom.polygonize import shared_paths_arrays
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, _ = decode_geometry(batch, left_col)
-        rga, _ = decode_geometry(batch, right_col)
-        same, opp = shared_paths_arrays(lga, rga)
-        for col in (same_col, opp_col):
-            if col in batch.column_names:
-                batch = batch.drop_columns([col])
-        batch = batch.append_column(same_col, encode_wkb(same))
-        return batch.append_column(opp_col, encode_wkb(opp))
-
-    return fn
-
-
-def geo_frechet(
-    left_col: str, right_col: str, out_col: str = "frechet"
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise discrete Fréchet distance between two aligned LINE
-    columns (`geom/kernels.py frechet_distance`)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, _ = decode_geometry(batch, left_col)
-        rga, _ = decode_geometry(batch, right_col)
-        if out_col in batch.column_names:
-            batch = batch.drop_columns([out_col])
-        return batch.append_column(out_col, pa.array(K.frechet_distance(lga, rga)))
-
-    return fn
-
-
-def geo_overlay(
-    left_col: str, right_col: str, operation: str, out_col: str | None = None
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise polygon boolean overlay between two aligned geometry
-    columns (`geom/overlay.py boolean_op` — sweep-line subdivision +
-    even-odd parity labels). ``operation`` is one of intersection / union /
-    difference / symmetric_difference. The result REPLACES ``left_col``
-    (GeoPandas GeoSeries semantics) unless ``out_col`` names a new WKB
-    column. Beyond-reference: the reference has no overlay ops."""
-    from geopolars_ray.geom.overlay import OPS, overlay_arrays
-
-    if operation not in OPS:
-        raise ValueError(f"operation must be one of {OPS}, got {operation!r}")
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, enc = decode_geometry(batch, left_col)
-        rga, _ = decode_geometry(batch, right_col)
-        res = overlay_arrays(lga, rga, operation)
-        if out_col is None:
-            return _set_geometry(batch, left_col, res, enc)
-        if out_col in batch.column_names:
-            batch = batch.drop_columns([out_col])
-        return batch.append_column(out_col, encode_wkb(res))
-
-    return fn
-
-
-def geo_project(
-    line_col: str, point_col: str, out_col: str = "measure", normalized: bool = False
-) -> Callable[[pa.Table], pa.Table]:
-    """Row-wise linear referencing: arc-length position of the nearest point
-    on ``line_col`` to the aligned ``point_col`` (shapely ``project`` —
-    `geom/kernels.py line_locate_point`)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lga, _ = decode_geometry(batch, line_col)
-        pga, _ = decode_geometry(batch, point_col)
-        if out_col in batch.column_names:
-            batch = batch.drop_columns([out_col])
-        return batch.append_column(
-            out_col, pa.array(K.line_locate_point(lga, pga, normalized=normalized))
-        )
-
-    return fn
-
-
 def points_from_xy(
     x_col: str, y_col: str, geometry_col: str = GEOMETRY
 ) -> Callable[[pa.Table], pa.Table]:
@@ -737,9 +622,6 @@ def points_from_xy(
     def fn(batch: pa.Table) -> pa.Table:
         x = batch[x_col].to_numpy(zero_copy_only=False)
         y = batch[y_col].to_numpy(zero_copy_only=False)
-        wkb = encode_wkb(GeometryArray.from_points(x, y))
-        if geometry_col in batch.column_names:
-            batch = batch.drop_columns([geometry_col])
-        return batch.append_column(geometry_col, wkb)
+        return _put_column(batch, geometry_col, encode_wkb(GeometryArray.from_points(x, y)))
 
     return fn

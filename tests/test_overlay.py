@@ -350,8 +350,8 @@ def test_overlay_stage_and_api(ray_session):
         w_area = geom_area(w)
         assert geom_area(g) == pytest.approx(w_area, rel=1e-9, abs=1e-12)
     # out_col variant keeps the subject column
-    from geopolars_ray.stages.geo import geo_overlay
-    res = geo_overlay("geometry", "clip", "union", out_col="merged")(t)
+    from geopolars_ray.stages.geo import geo_binary_op
+    res = geo_binary_op("overlay", "geometry", "clip", out_col="merged", operation="union")(t)
     assert {"geometry", "clip", "merged", "rid"} <= set(res.column_names)
 
 def test_geodataset_union_dispatch(ray_session):
